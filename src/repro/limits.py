@@ -417,14 +417,22 @@ class BudgetMeter:
             self._exceeded(RULE_CAP)
 
     def tick(self, steps: int = 1) -> None:
-        """Cheap checkpoint: count work, read the clock only sporadically."""
-        self.step_attempts += steps
+        """Cheap checkpoint: count work, read the clock only sporadically.
+
+        ``tick(n)`` is exactly ``n`` single ticks: the clock is read at
+        the same counts, so a deadline raises with the same snapshot.
+        """
         if self._deadline is None:
+            self.step_attempts += steps
             return
-        self._ticks += 1
-        if self._ticks >= _TICKS_PER_CLOCK_READ:
+        while self._ticks + steps >= _TICKS_PER_CLOCK_READ:
+            taken = _TICKS_PER_CLOCK_READ - self._ticks
+            self.step_attempts += taken
+            steps -= taken
             self._ticks = 0
             self.check_deadline()
+        self.step_attempts += steps
+        self._ticks += steps
 
     def check_deadline(self) -> None:
         """Unconditional wall-clock check (phase boundaries call this)."""

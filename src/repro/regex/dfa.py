@@ -40,7 +40,15 @@ class DFA:
         Per state, the target taken by labels outside the alphabet.
     """
 
-    __slots__ = ("alphabet", "transitions", "other", "start", "accepting", "_live")
+    __slots__ = (
+        "alphabet",
+        "transitions",
+        "other",
+        "start",
+        "accepting",
+        "_live",
+        "_live_labels",
+    )
 
     def __init__(
         self,
@@ -56,6 +64,8 @@ class DFA:
         self.start = start
         self.accepting = frozenset(accepting)
         self._live: frozenset[int] | None = None
+        # (labels stepping live -> live, or None when OTHER does too)
+        self._live_labels: tuple[frozenset[str] | None] | None = None
         if len(self.transitions) != len(self.other):
             raise RegexError("transition table and OTHER table disagree on size")
         for index, row in enumerate(self.transitions):
@@ -127,6 +137,28 @@ class DFA:
                     frontier.append(source)
         self._live = frozenset(reachable & productive)
         return self._live
+
+    def live_labels(self) -> frozenset[str] | None:
+        """The explicit labels that step some live state to a live state.
+
+        A run that stays live can only read these; ``None`` when some
+        live state's OTHER edge is live too, since then any label
+        outside the alphabet can.  Cached like :meth:`live_states`.
+        """
+        if self._live_labels is None:
+            live = self.live_states()
+            if any(self.other[state] in live for state in live):
+                self._live_labels = (None,)
+            else:
+                self._live_labels = (
+                    frozenset(
+                        label
+                        for state in live
+                        for label, target in self.transitions[state].items()
+                        if target in live
+                    ),
+                )
+        return self._live_labels[0]
 
     def with_alphabet(self, alphabet: Iterable[str]) -> "DFA":
         """Re-express the DFA over a larger explicit alphabet.

@@ -9,7 +9,10 @@ automaton protocol:
 * ``initial()`` -- start state;
 * ``step(state, symbol)`` -- next state, or ``None`` when dead;
 * ``accepting(state)`` -- acceptance;
-* ``size()`` -- number of states (for the Proposition 3 size study).
+* ``size()`` -- number of states (for the Proposition 3 size study);
+* ``watch()`` -- a sound finite bound on the symbols the language can
+  ever step on, as a projection path plus a set (or ``None``, unknown):
+  the worklist engine skips every symbol outside it.
 
 Symbols are hedge-automaton states (arbitrary hashable objects).  The
 instances cover everything the paper's constructions need: the shuffle
@@ -26,6 +29,10 @@ from repro.regex.dfa import DFA
 
 HState = Hashable
 Symbol = Hashable
+Projection = Callable[[Symbol], Symbol]
+#: ``(path, symbols)``: only a symbol whose projection through ``path``
+#: (applied left to right) lies in ``symbols`` can step a state anywhere
+Watch = tuple[tuple[Projection, ...], frozenset[Symbol]]
 
 
 class HorizontalLanguage:
@@ -58,6 +65,20 @@ class HorizontalLanguage:
         """
         return ("opaque", id(self))
 
+    def watch(self) -> Watch | None:
+        """The symbols this language can ever step on, over-approximated.
+
+        ``(path, symbols)`` promises that from every state reachable
+        from :meth:`initial`, a symbol steps to ``None`` unless applying
+        the projections of ``path`` in order maps it into ``symbols``.
+        The worklist engine skips the (frontier state, symbol) pairs the
+        bound rules out, so it must be sound; it need not be tight.
+        The base default ``None`` means unknown: every symbol is tried.
+        Implementations compute the set on call rather than storing one
+        per instance (automata outlive their fixpoints).
+        """
+        return None
+
     # convenience ------------------------------------------------------
 
     def accepts(self, word: Sequence[Symbol]) -> bool:
@@ -75,6 +96,9 @@ class EmptyWordHorizontal(HorizontalLanguage):
 
     def structure_key(self) -> Hashable:
         return ("empty-word",)
+
+    def watch(self) -> Watch | None:
+        return (), frozenset()
 
     def initial(self) -> HState:
         return 0
@@ -97,6 +121,9 @@ class AllHorizontal(HorizontalLanguage):
 
     def structure_key(self) -> Hashable:
         return ("all", self.allowed)
+
+    def watch(self) -> Watch | None:
+        return (), self.allowed
 
     def initial(self) -> HState:
         return 0
@@ -131,6 +158,11 @@ class ShuffleHorizontal(HorizontalLanguage):
 
     def structure_key(self) -> Hashable:
         return ("shuffle", self.fillers, tuple(self.requirements))
+
+    def watch(self) -> Watch | None:
+        if not self.requirements:
+            return (), self.fillers
+        return (), self.fillers.union(*self.requirements)
 
     def initial(self) -> HState:
         return frozenset({0})
@@ -170,6 +202,11 @@ class DFAHorizontal(HorizontalLanguage):
     def initial(self) -> HState:
         return self.dfa.start
 
+    def watch(self) -> Watch | None:
+        # frontier states are live (or a dead start, which steps nowhere)
+        labels = self.dfa.live_labels()
+        return None if labels is None else ((), labels)
+
     def step(self, state: HState, symbol: Symbol) -> HState | None:
         target = self.dfa.step(state, symbol)  # type: ignore[arg-type]
         if target not in self._live:
@@ -202,6 +239,13 @@ class ProjectedHorizontal(HorizontalLanguage):
         # module-level projections hash stably by identity
         return ("projected", self.inner.structure_key(), self.projection)
 
+    def watch(self) -> Watch | None:
+        inner = self.inner.watch()
+        if inner is None:
+            return None
+        path, symbols = inner
+        return (self.projection, *path), symbols
+
     def initial(self) -> HState:
         return self.inner.initial()
 
@@ -223,6 +267,14 @@ class ProductHorizontal(HorizontalLanguage):
 
     def structure_key(self) -> Hashable:
         return ("product", tuple(part.structure_key() for part in self.parts))
+
+    def watch(self) -> Watch | None:
+        # a product step dies when any part's does: one part's bound holds
+        for part in self.parts:
+            bound = part.watch()
+            if bound is not None:
+                return bound
+        return None
 
     def initial(self) -> HState:
         return tuple(part.initial() for part in self.parts)

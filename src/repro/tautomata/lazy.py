@@ -223,7 +223,10 @@ class ExplorationStats:
     product states it proved inhabited.  ``fired_rules`` is the exact
     count of individually fired rules when the engine tracked rules, and
     ``None`` otherwise (the untracked engine only records one firing per
-    state, which is a different quantity).
+    state, which is a different quantity).  ``step_attempts`` counts the
+    (frontier state, symbol) pairs the fixpoint went through, including
+    those a watch set ruled out without a ``step`` call, so it is the
+    same whether or not a language reports a watch set.
     """
 
     explored_states: int

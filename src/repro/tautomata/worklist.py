@@ -21,7 +21,19 @@ worklist:
   state; the fired state is enqueued and the rule retires.
 
 Each (rule, horizontal-state, symbol) edge is therefore traversed at
-most once over the whole fixpoint.  Vertical states — nested product
+most once over the whole fixpoint.  Most of those edges are dead: a
+schema content model or an FD shuffle has no transition for most child
+states.  So every search keeps its rule's *watch set* (see
+:meth:`~repro.tautomata.horizontal.HorizontalLanguage.watch`): a
+projection path plus a finite set outside which every symbol steps
+every reachable horizontal state to ``None``.  The engine projects each
+inhabited symbol once per distinct path, and a search only steps on the
+symbols whose key lies in its set — both when a symbol is newly
+inhabited and when closing over freshly reached frontier states.  A
+skipped pair could only have died, so frontiers, firing order and
+firing words are exactly those of stepping every pair; each skipped
+pair still counts as one step attempt and one meter tick, at the point
+where it would have been attempted.  Vertical states — nested product
 tuples in the IC pipeline — are interned to dense ints
 (:mod:`repro.tautomata.intern`), so inhabitation membership on the hot
 path is one bit test in an integer bitmask rather than a tuple-hashing
@@ -77,17 +89,36 @@ def spec_has_element_label(spec: LabelSpec) -> bool:
     )
 
 
+def _project(symbol: State, path: tuple) -> State:
+    for projection in path:
+        symbol = projection(symbol)
+    return symbol
+
+
 class _Search:
-    """Persistent frontier of one rule's horizontal automaton."""
+    """Persistent frontier of one rule's horizontal automaton.
 
-    __slots__ = ("rule", "frontier", "parents", "fired")
+    ``watch`` is the set of keys the horizontal language can step on
+    (``None``: every symbol), and ``keys`` the engine's list of every
+    inhabited symbol's key under the language's projection path.
+    """
 
-    def __init__(self, rule: Rule, record_parents: bool) -> None:
+    __slots__ = ("rule", "frontier", "parents", "fired", "watch", "keys")
+
+    def __init__(
+        self,
+        rule: Rule,
+        record_parents: bool,
+        watch: frozenset[State] | None,
+        keys: list[State],
+    ) -> None:
         self.rule = rule
         self.frontier = {rule.horizontal.initial()}
         # h-state -> (previous h-state, symbol); the initial state has no entry
         self.parents: dict | None = {} if record_parents else None
         self.fired = False
+        self.watch = watch
+        self.keys = keys
 
 
 class InhabitationEngine:
@@ -108,7 +139,8 @@ class InhabitationEngine:
     ``meter``
         an optional started :class:`~repro.limits.BudgetMeter`: every
         registered rule and newly inhabited state is charged against it
-        and every horizontal step ticks it, so a budgeted fixpoint stops
+        and every step attempt ticks it (a pair ruled out by a watch set
+        too, at the same count), so a budgeted fixpoint stops
         with :class:`~repro.limits.BudgetExceeded` at the first
         checkpoint past a limit.  ``None`` (the default) adds no
         bookkeeping to any hot path.
@@ -141,11 +173,15 @@ class InhabitationEngine:
         #: state -> (rule, firing word); insertion order = discovery order
         self.firings: dict[State, tuple[Rule, tuple[State, ...]]] = {}
         self.fired_rules: list[Rule] = []
+        #: (frontier state, symbol) pairs attempted, ruled-out ones included
         self.step_attempts = 0
         self.rule_count = 0
         #: worklist rounds completed: symbols propagated by :meth:`run`
         self.rounds = 0
         self._symbols: list[State] = []  # inhabited, in discovery order
+        #: projection path -> key of every inhabited symbol under it,
+        #: parallel to ``_symbols`` (the empty path reads ``_symbols``)
+        self._keys: dict[tuple, list[State]] = {}
         # Vertical states are interned to dense ints; inhabitation
         # membership is then one bit in ``_fired_mask`` instead of a
         # tuple-hashing dict probe per (search, round).  When rules are
@@ -191,9 +227,12 @@ class InhabitationEngine:
         if self.typed and not spec_has_element_label(rule.labels):
             # leaf-only labels cannot carry children: the rule is dead
             return
-        search = _Search(rule, self.record_parents)
+        path, watch = horizontal.watch() or ((), None)
+        search = _Search(
+            rule, self.record_parents, watch, self._path_keys(path)
+        )
         if self._symbols:
-            self._advance(search, self._symbols)
+            self._advance(search, None)
         if not search.fired:
             if self.track_rules:
                 self._searches.append(search)
@@ -204,6 +243,16 @@ class InhabitationEngine:
         """Register several rules (see :meth:`add_rule`)."""
         for rule in rules:
             self.add_rule(rule)
+
+    def _path_keys(self, path: tuple) -> list[State]:
+        """The inhabited symbols' keys under a projection path."""
+        if not path:
+            return self._symbols
+        keys = self._keys.get(path)
+        if keys is None:
+            keys = [_project(symbol, path) for symbol in self._symbols]
+            self._keys[path] = keys
+        return keys
 
     # ------------------------------------------------------------------
     # retraction (incremental=True)
@@ -275,9 +324,14 @@ class InhabitationEngine:
             del self.firings[state]
             self._fired_mask &= ~(1 << self._state_ids.intern(state))
         if dead:
-            self._symbols = [
-                symbol for symbol in self._symbols if symbol not in dead
+            # in place: searches hold these lists
+            kept = [
+                index
+                for index, symbol in enumerate(self._symbols)
+                if symbol not in dead
             ]
+            for keys in (self._symbols, *self._keys.values()):
+                keys[:] = [keys[index] for index in kept]
 
         rebuild: list[Rule] = []
         if self.track_rules:
@@ -343,79 +397,114 @@ class InhabitationEngine:
 
     def run(self) -> None:
         """Propagate queued symbols until no rule can make progress."""
+        meter = self.meter
         while self._queue:
             symbol = self._queue.popleft()
             self.rounds += 1
             self._symbols.append(symbol)
-            new_symbol = (symbol,)
+            for path, keys in self._keys.items():
+                keys.append(_project(symbol, path))
             if self.track_rules:
-                survivors = []
-                for search in self._searches:
-                    self._advance(search, new_symbol)
-                    if not search.fired:
-                        survivors.append(search)
-                self._searches = survivors
+                groups: Iterable[list[_Search]] = (self._searches,)
             else:
-                # snapshot: _fire pops groups out of _active mid-round
-                for state_id, group in list(self._active.items()):
-                    if (self._fired_mask >> state_id) & 1:
-                        continue  # retired earlier this round
-                    for search in group:
-                        self._advance(search, new_symbol)
-                        if search.fired:
-                            # _fire retired the whole group; the rest of
-                            # these searches prove nothing new
-                            break
+                # a group only fires its own state; _fire pops it out of
+                # _active mid-round, hence the snapshot
+                groups = list(self._active.values())
+            for group in groups:
+                for search in group:
+                    watch = search.watch
+                    if watch is not None and search.keys[-1] not in watch:
+                        # ruled out: each frontier state steps to None
+                        skipped = len(search.frontier)
+                        self.step_attempts += skipped
+                        if meter is not None:
+                            meter.tick(skipped)
+                        continue
+                    self._advance(search, symbol)
+                    if search.fired and not self.track_rules:
+                        break  # the rest of the group proves nothing new
+            if self.track_rules:
+                self._searches = [
+                    search for search in self._searches if not search.fired
+                ]
 
-    def _advance(self, search: _Search, new_symbols: Iterable[State]) -> None:
+    def _advance(self, search: _Search, new_symbol: State | None) -> None:
         """Extend the frontier with newly available symbols.
 
-        New symbols are tried from every existing frontier state; states
-        reached that way are then closed under *all* inhabited symbols.
-        The frontier stays exactly the set of horizontal states reachable
-        over inhabited-symbol words, and each (state, symbol) pair is
-        attempted once over the search's lifetime.
+        With ``new_symbol``, every existing frontier state first steps
+        on it; without (a search catching up at install) the initial
+        state is the one fresh state.  Fresh states are then closed
+        under all inhabited symbols.  The frontier stays exactly the set
+        of horizontal states reachable over inhabited-symbol words, and
+        each (state, symbol) pair is attempted once over the search's
+        lifetime — stepped when the watch set admits the symbol, and
+        otherwise only counted (it could only step to ``None``).
         """
         horizontal = search.rule.horizontal
+        step = horizontal.step
+        accepting = horizontal.accepting
         frontier = search.frontier
         parents = search.parents
         meter = self.meter
-        fresh: deque[State] = deque()
         steps = 0
-        for h_state in tuple(frontier):
-            for symbol in new_symbols:
+        if new_symbol is None:
+            fresh: deque[State] = deque(frontier)
+        else:
+            fresh = deque()
+            for h_state in tuple(frontier):
                 steps += 1
                 if meter is not None:
                     meter.tick()
-                target = horizontal.step(h_state, symbol)
+                target = step(h_state, new_symbol)
                 if target is None or target in frontier:
                     continue
                 frontier.add(target)
                 if parents is not None:
-                    parents[target] = (h_state, symbol)
-                if horizontal.accepting(target):
+                    parents[target] = (h_state, new_symbol)
+                if accepting(target):
                     self.step_attempts += steps
                     self._fire_search(search, target)
                     return
                 fresh.append(target)
-        all_symbols = self._symbols
-        while fresh:
-            h_state = fresh.popleft()
-            for symbol in all_symbols:
-                steps += 1
-                if meter is not None:
-                    meter.tick()
-                target = horizontal.step(h_state, symbol)
-                if target is None or target in frontier:
-                    continue
-                frontier.add(target)
-                if parents is not None:
-                    parents[target] = (h_state, symbol)
-                if horizontal.accepting(target):
-                    self.step_attempts += steps
-                    self._fire_search(search, target)
-                    return
-                fresh.append(target)
+        if fresh:
+            symbols = self._symbols
+            total = len(symbols)
+            watch = search.watch
+            if watch is None:
+                readable: Iterable[int] = range(total)
+            else:
+                readable = [
+                    index
+                    for index, key in enumerate(search.keys)
+                    if key in watch
+                ]
+            while fresh:
+                h_state = fresh.popleft()
+                last = -1
+                for index in readable:
+                    # the pairs between ``last`` and ``index`` were ruled out
+                    attempts = index - last
+                    last = index
+                    steps += attempts
+                    if meter is not None:
+                        meter.tick(attempts)
+                    symbol = symbols[index]
+                    target = step(h_state, symbol)
+                    if target is None or target in frontier:
+                        continue
+                    frontier.add(target)
+                    if parents is not None:
+                        parents[target] = (h_state, symbol)
+                    if accepting(target):
+                        self.step_attempts += steps
+                        self._fire_search(search, target)
+                        return
+                    fresh.append(target)
+                skipped = total - 1 - last
+                if skipped:
+                    steps += skipped
+                    if meter is not None:
+                        meter.tick(skipped)
         self.step_attempts += steps
 
     def _fire_search(self, search: _Search, accepted: State) -> None:

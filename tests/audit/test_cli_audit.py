@@ -177,13 +177,17 @@ class TestBoundary:
         import subprocess
         import sys
 
+        # ~700 KiB of findings (300 documents, 2 violations per FD, the
+        # FD given 10 times): far past the 64 KiB pipe buffer plus what
+        # readline buffers, so the child is still writing when the pipe
+        # closes and must hit EPIPE rather than finish and exit 2
         corpus = write_package_corpus(
-            tmp_path / "corpus", documents=3, parts=6, violations_every=1
+            tmp_path / "corpus", documents=300, parts=6, violations_every=1
         )
         env = dict(os.environ, PYTHONPATH="src")
         process = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "audit", *corpus,
-             "--fd", package_linear_fds()[0]],
+             *["--fd", package_linear_fds()[0]] * 10],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,

@@ -1,6 +1,7 @@
 """Unit tests for the resource-governance primitives in repro.limits."""
 
 import pickle
+import time
 
 import pytest
 
@@ -71,6 +72,15 @@ class TestBudgetMeter:
         with pytest.raises(BudgetExceeded):
             for _ in range(10_000):
                 meter.tick()
+
+    @pytest.mark.parametrize("batch", [1, 5, 127, 128, 300])
+    def test_batched_ticks_read_the_clock_at_the_same_counts(self, batch):
+        meter = Budget(deadline_ms=0).start()
+        time.sleep(0.002)
+        with pytest.raises(BudgetExceeded) as excinfo:
+            for _ in range(1000):
+                meter.tick(batch)
+        assert excinfo.value.partial.step_attempts == 128
 
     def test_uncapped_dimensions_never_raise(self):
         meter = Budget(deadline_ms=60_000).start()
