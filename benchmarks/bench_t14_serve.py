@@ -12,7 +12,9 @@ asserting the service-level contract rather than just timing it:
 * **warm path** — the same request twice: the second must be served
   from the result cache/journal at least :data:`WARM_SPEEDUP_FLOOR` x
   faster than the cold computation (QUICK relaxes the floor for noisy
-  smoke boxes, never the served-from-cache assertion).
+  smoke boxes, never the served-from-cache assertion).  The daemon's
+  ``/stats`` ``parse_skipped`` count is recorded after this phase:
+  repeated bodies must be answered without being parsed again.
 
 * **overload** — a daemon with a tiny admission queue and slowed cells
   is hit with more concurrency than it can hold.  Acceptance: *every*
@@ -25,8 +27,8 @@ asserting the service-level contract rather than just timing it:
 
 The measured table is written machine-readably to ``BENCH_T14.json``
 (path overridable via the ``BENCH_T14_JSON`` environment variable);
-the CI ``serve-smoke`` job gates on the overload and drain booleans
-plus a p99 ceiling.
+the CI ``serve-smoke`` job gates on the overload and drain booleans,
+a p99 ceiling and a nonzero ``parse_skipped``.
 """
 
 import http.client
@@ -98,6 +100,15 @@ def _post(port, body, timeout=120.0):
         response = conn.getresponse()
         payload = json.loads(response.read())
         return response.status, payload, (time.perf_counter() - started)
+    finally:
+        conn.close()
+
+
+def _get(port, path):
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30.0)
+    try:
+        conn.request("GET", path)
+        return json.loads(conn.getresponse().read())
     finally:
         conn.close()
 
@@ -178,6 +189,7 @@ def _measure_warm_path(port):
         "warm_ms": warm * 1000.0,
         "speedup": speedup,
         "floor": WARM_SPEEDUP_FLOOR,
+        "parse_skipped": _get(port, "/stats")["counters"]["parse_skipped"],
     }
 
 

@@ -16,6 +16,14 @@ sharing the run.  This bench measures what that promise costs:
   guards on vs off (``parse_budget=None``), isolating the per-token
   metering cost.
 
+One untimed audit warms the caches first.  Then the guarded, unguarded
+and mixed audits run interleaved for :data:`ROUNDS` rounds, rotating
+their order so each runs first, second and last equally often, and
+every time reported is a median with its quartiles: one timing per
+audit put noise of ±20% into the guard overhead, which is a few
+percent at most.  Every audit of every round is checked, not just
+timed.
+
 The measured table is written machine-readably to ``BENCH_T15.json``
 (path overridable via the ``BENCH_T15_JSON`` environment variable).
 ``BENCH_QUICK=1`` shrinks the sweep; every correctness assertion runs
@@ -24,6 +32,7 @@ in both modes.
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -45,6 +54,9 @@ QUICK = os.environ.get("BENCH_QUICK") == "1"
 SIZES = (8,) if QUICK else (8, 32, 128)
 #: parts per manifest (~2-3 KiB of XML each)
 PARTS = 12
+#: interleaved timing rounds per corpus size (a multiple of the three
+#: audits, so the rotation gives each audit each position equally often)
+ROUNDS = 9
 
 
 def _options(parse_budget=ParseBudget.default()):
@@ -80,47 +92,55 @@ def _measure_corpus(documents, tmp_path):
     )
     poison = write_poison_corpus(tmp_path / f"poison-{documents}")
 
-    started = time.perf_counter()
-    clean_run = audit_corpus(list(healthy), _options())
-    clean_seconds = time.perf_counter() - started
-    assert clean_run.exit_code() in (0, 2)
-    assert not clean_run.aborted
+    reference = audit_corpus(list(healthy), _options())
+    assert reference.exit_code() in (0, 2)
+    assert not reference.aborted
+    expected = _canonical(reference, healthy)
 
-    started = time.perf_counter()
-    mixed_run = audit_corpus(
-        list(healthy) + sorted(poison.values()), _options()
-    )
-    mixed_seconds = time.perf_counter() - started
-    assert not mixed_run.aborted
-    # every poison file produced at least one finding on that file only
-    by_path = {doc.path: doc for doc in mixed_run.documents}
-    for path in poison.values():
-        assert by_path[path].findings, path
+    audits = {
+        "healthy": (list(healthy), _options()),
+        "unguarded": (list(healthy), _options(parse_budget=None)),
+        "mixed": (list(healthy) + sorted(poison.values()), _options()),
+    }
+    names = list(audits)
+    samples = {name: [] for name in names}
+    for round_index in range(ROUNDS):
+        shift = round_index % len(names)
+        for name in names[shift:] + names[:shift]:
+            paths, options = audits[name]
+            started = time.perf_counter()
+            run = audit_corpus(paths, options)
+            samples[name].append((time.perf_counter() - started) * 1000)
+            assert not run.aborted, name
+            # the promise under load: neither poison sharing the run
+            # nor guards switched off change a healthy verdict
+            assert _canonical(run, healthy) == expected, name
+            if name == "mixed":
+                # every poison file produced a finding on that file only
+                by_path = {doc.path: doc for doc in run.documents}
+                for path in poison.values():
+                    assert by_path[path].findings, path
 
-    # the promise under load: poison in the run leaves healthy
-    # verdicts bit-for-bit unchanged
-    assert _canonical(mixed_run, healthy) == _canonical(clean_run, healthy)
-
-    started = time.perf_counter()
-    unguarded_run = audit_corpus(
-        list(healthy), _options(parse_budget=None)
-    )
-    unguarded_seconds = time.perf_counter() - started
-    assert _canonical(unguarded_run, healthy) == _canonical(
-        clean_run, healthy
-    )
-
+    # [q1, median, q3] of each audit's times
+    quartiles = {
+        name: statistics.quantiles(times, n=4, method="inclusive")
+        for name, times in samples.items()
+    }
+    healthy_ms = quartiles["healthy"][1]
+    unguarded_ms = quartiles["unguarded"][1]
     return {
         "documents": documents,
         "poison_files": len(poison),
-        "healthy_ms": clean_seconds * 1000,
-        "docs_per_s": documents / clean_seconds,
-        "mixed_ms": mixed_seconds * 1000,
-        "poison_overhead_ms": (mixed_seconds - clean_seconds) * 1000,
-        "unguarded_ms": unguarded_seconds * 1000,
-        "guard_overhead_pct": (
-            (clean_seconds - unguarded_seconds) / unguarded_seconds * 100
-        ),
+        "rounds": ROUNDS,
+        "healthy_ms": healthy_ms,
+        "docs_per_s": documents / (healthy_ms / 1000),
+        "mixed_ms": quartiles["mixed"][1],
+        "poison_overhead_ms": quartiles["mixed"][1] - healthy_ms,
+        "unguarded_ms": unguarded_ms,
+        "guard_overhead_pct": (healthy_ms - unguarded_ms) / unguarded_ms * 100,
+        "quartiles_ms": {
+            name: [values[0], values[2]] for name, values in quartiles.items()
+        },
         "healthy_verdicts_equal": True,
     }
 
@@ -128,24 +148,31 @@ def _measure_corpus(documents, tmp_path):
 def bench_t15_report(benchmark, tmp_path):
     records = [_measure_corpus(size, tmp_path) for size in SIZES]
 
+    def spread(record, name):
+        q1, q3 = record["quartiles_ms"][name]
+        return f"{record[name + '_ms']:.1f} ({q1:.1f}-{q3:.1f})"
+
     emit_table(
-        "T15: hardened corpus audit (schema + 2 FDs + exposure per doc)",
+        f"T15: hardened corpus audit (schema + 2 FDs + exposure per doc; "
+        f"medians and quartiles of {ROUNDS} interleaved rounds)",
         [
             "docs",
             "healthy (ms)",
             "docs/s",
+            "unguarded (ms)",
+            "guards overhead (%)",
             "mixed (ms)",
             "poison overhead (ms)",
-            "guards overhead (%)",
         ],
         [
             [
                 record["documents"],
-                f"{record['healthy_ms']:.1f}",
+                spread(record, "healthy"),
                 f"{record['docs_per_s']:.1f}",
-                f"{record['mixed_ms']:.1f}",
-                f"{record['poison_overhead_ms']:.1f}",
+                spread(record, "unguarded"),
                 f"{record['guard_overhead_pct']:+.1f}",
+                spread(record, "mixed"),
+                f"{record['poison_overhead_ms']:.1f}",
             ]
             for record in records
         ],

@@ -38,6 +38,14 @@ from repro.persistence.journal import JournalWriter, recover_journal
 DEFAULT_CACHE_LIMIT = 4096
 
 
+def lru_put(cache: OrderedDict, key, value, limit: int) -> None:
+    """Insert or refresh ``key`` as most recent; evict past ``limit``."""
+    cache[key] = value
+    cache.move_to_end(key)
+    while len(cache) > limit:
+        cache.popitem(last=False)
+
+
 class SingleFlight:
     """Key-coalescing map of in-flight computations (asyncio-side)."""
 
@@ -94,7 +102,8 @@ class ResultJournal:
         cache_limit: int = DEFAULT_CACHE_LIMIT,
     ) -> None:
         self._cache: OrderedDict[str, dict] = OrderedDict()
-        self._limit = max(1, int(cache_limit))
+        #: entries kept in memory (the least recently used go first)
+        self.limit = max(1, int(cache_limit))
         self._writer: JournalWriter | None = None
         self.degraded = False
         self.degraded_reason: str | None = None
@@ -112,7 +121,9 @@ class ResultJournal:
                     and isinstance(record.get("key"), str)
                     and isinstance(record.get("response"), dict)
                 ):
-                    self._remember(record["key"], record["response"])
+                    lru_put(
+                        self._cache, record["key"], record["response"], self.limit
+                    )
                     self.recovered += 1
             self._writer = JournalWriter(journal_path)
         except OSError as error:
@@ -134,7 +145,7 @@ class ResultJournal:
 
     def put(self, key: str, response: dict) -> None:
         """Remember a decided response; journal it when durable."""
-        self._remember(key, response)
+        lru_put(self._cache, key, response, self.limit)
         if self._writer is None or self.degraded:
             return
         try:
@@ -143,12 +154,6 @@ class ResultJournal:
             )
         except OSError as error:
             self._degrade(f"result journal append failed: {error}")
-
-    def _remember(self, key: str, response: dict) -> None:
-        self._cache[key] = response
-        self._cache.move_to_end(key)
-        while len(self._cache) > self._limit:
-            self._cache.popitem(last=False)
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -118,26 +118,24 @@ class HttpFrontend:
             return False
         try:
             method, path, headers = _parse_head(header_blob)
+            length = _content_length(headers)
         except ValueError as error:
-            await self._respond(
-                writer, 400, error_body(400, str(error)), {}, False
-            )
-            return False
-        length = int(headers.get("content-length", "0") or "0")
+            return await self._refuse(writer, 400, str(error))
         if length > MAX_BODY_BYTES:
-            await self._respond(
-                writer,
-                413,
-                error_body(413, f"body exceeds {MAX_BODY_BYTES} bytes"),
-                {},
-                False,
+            return await self._refuse(
+                writer, 413, f"body exceeds {MAX_BODY_BYTES} bytes"
             )
-            return False
         body_bytes = await reader.readexactly(length) if length else b""
-        keep_alive = headers.get("connection", "keep-alive") != "close"
+        tokens = headers.get("connection", "").lower().split(",")
+        keep_alive = "close" not in (token.strip() for token in tokens)
         status, body, extra = await self._route(method, path, body_bytes)
         await self._respond(writer, status, body, extra, keep_alive)
         return keep_alive
+
+    async def _refuse(self, writer, status: int, message: str) -> bool:
+        """Answer a framing error and close: the stream is unreadable."""
+        await self._respond(writer, status, error_body(status, message), {}, False)
+        return False
 
     async def _read_headers(self, reader) -> bytes | None:
         """The bytes up to the blank line, or None on clean EOF.
@@ -171,7 +169,9 @@ class HttpFrontend:
                 return 405, error_body(405, "use POST"), {"Allow": "POST"}
             try:
                 body = json.loads(body_bytes.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
+            # ValueError covers bad UTF-8, bad JSON and integers too
+            # long to convert; RecursionError, nesting too deep
+            except (ValueError, RecursionError) as error:
                 return 400, error_body(400, f"invalid JSON body: {error}"), {}
             return await self.service.handle(body)
         if method != "GET":
@@ -187,6 +187,17 @@ class HttpFrontend:
         if path == "/stats":
             return 200, self.service.stats(), {}
         return 404, error_body(404, f"no route {path}"), {}
+
+
+def _content_length(headers: dict) -> int:
+    """The declared body length (0 when absent); ValueError unless the
+    value is plain digits — ``int()`` would also take "-1" or "+5"."""
+    raw = headers.get("content-length") or "0"
+    if not raw.isdigit():
+        raise ValueError(f"invalid Content-Length: {raw!r}")
+    digits = raw.lstrip("0") or "0"
+    # int() refuses thousands of digits; every such length is too large
+    return int(digits) if len(digits) <= 18 else MAX_BODY_BYTES + 1
 
 
 def _parse_head(blob: bytes) -> tuple[str, str, dict]:

@@ -4,7 +4,9 @@ This is the daemon's brain; :mod:`repro.serve.http` is only a thin
 HTTP/1.1 skin over :meth:`IndependenceService.handle`.  A request
 travels::
 
-    handle() ── parse ── result cache? ──> 200 (source=cache)
+    handle() ── body digest known, answer cached? ─> 200 (source=cache)
+       │
+       ├─ parse ── result cache? ────────> 200 (source=cache)
        │
        ├─ single-flight: follower? ──────> await leader ─> 200 (coalesced)
        │
@@ -19,11 +21,23 @@ travels::
 
 Robustness decisions, and why they sit where they do:
 
+* **A known body skips the parse.**  ``parse_request`` is a pure
+  function of the decoded body and the daemon's fixed default
+  strategy, so the sha256 of the body's canonical JSON can only ever
+  name the request key that body parses to.  Every successful parse
+  records digest → key in an LRU bounded like the result cache; a
+  later body with that digest whose decided answer is still cached is
+  answered without parsing.  Anything else — an unseen digest, an
+  evicted or never-cached (UNKNOWN) answer, a request still in flight
+  — takes the full path.
+
 * **Admission control happens before queueing, not after** — a shed
-  request costs the daemon one JSON parse and one hashmap probe, so a
-  client storm cannot starve the compute thread.  Cache hits and
-  coalesced followers deliberately bypass the queue: serving a known
-  answer is O(1) and shedding it would be self-inflicted damage.
+  request costs the daemon a full parse (FD, XPath and schema
+  translation plus the manifest digest) and two hashmap probes, but
+  no queue slot and no compute, so a client storm cannot starve the
+  compute thread.  Cache hits and coalesced followers deliberately
+  bypass the queue: serving a known answer is O(1) and shedding it
+  would be self-inflicted damage.
 
 * **The compute path is one thread.**  IC computation is CPU-bound
   and already fans out *internally* over the warm process pool;
@@ -50,8 +64,10 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import hashlib
+import json
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -72,7 +88,7 @@ from repro.serve.api import (
 )
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.config import ServeConfig
-from repro.serve.dedup import ResultJournal, SingleFlight
+from repro.serve.dedup import ResultJournal, SingleFlight, lru_put
 
 #: rows a merged micro-batch may reach before it stops absorbing
 MAX_BATCH_ROWS = 64
@@ -92,6 +108,20 @@ class _Pending:
     request: IndependenceRequest
     future: asyncio.Future
     enqueued_at: float
+
+
+def _body_digest(body) -> bytes | None:
+    """sha256 of the body's canonical JSON: what ``parse_request`` reads.
+
+    None when the body is nested too deeply to encode again (the
+    decoder ran a few frames higher up the stack); such a body just
+    takes the full path.
+    """
+    try:
+        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    except RecursionError:
+        return None
+    return hashlib.sha256(canonical.encode("utf-8")).digest()
 
 
 def _percentile(samples: list[float], fraction: float) -> float:
@@ -126,6 +156,8 @@ class IndependenceService:
         self.results = ResultJournal(
             None if checkpoint_root is None else checkpoint_root / "results.wal"
         )
+        #: body digest → the request key that body parses to
+        self._body_keys: OrderedDict[bytes, str] = OrderedDict()
         self._pending: deque[_Pending] = deque()
         self._wakeup = asyncio.Event()
         self._compute = ThreadPoolExecutor(
@@ -140,6 +172,7 @@ class IndependenceService:
             "requests": 0,
             "computed": 0,
             "cache_hits": 0,
+            "parse_skipped": 0,
             "coalesced": 0,
             "shed_429": 0,
             "rejected_503": 0,
@@ -181,25 +214,37 @@ class IndependenceService:
         self._counts["requests"] += 1
         if self.draining:
             self._counts["rejected_503"] += 1
-            return (
+            return self._reply(
+                started,
                 503,
                 error_body(503, "service is draining"),
                 {"Retry-After": "1"},
+                source="draining",
+                parsed=False,
             )
+        # parse_request is pure, so a body parsed before names its key
+        digest = _body_digest(body)
+        key = self._body_keys.get(digest)
+        if key is not None:
+            cached = self.results.get(key)
+            if cached is not None:
+                self._body_keys.move_to_end(digest)
+                self._counts["parse_skipped"] += 1
+                self.metrics.counter("serve.parse_skipped").inc()
+                return self._cache_hit(cached, key, started, parsed=False)
         try:
             request = parse_request(body, self.config.strategy)
         except BadRequest as error:
             self._counts["parse_errors"] += 1
-            return 400, error_body(400, str(error)), {}
+            return self._reply(
+                started, 400, error_body(400, str(error)), source="bad-request"
+            )
+        if digest is not None:
+            lru_put(self._body_keys, digest, request.key, self.results.limit)
 
         cached = self.results.get(request.key)
         if cached is not None:
-            self._counts["cache_hits"] += 1
-            self.metrics.counter("serve.cache_hits").inc()
-            response = dict(cached)
-            response["served"] = {**response["served"], "source": "cache"}
-            self._observe_latency(started)
-            return 200, response, {}
+            return self._cache_hit(cached, request.key, started, parsed=True)
 
         future, leader = self.single_flight.claim(request.key)
         if not leader:
@@ -217,14 +262,29 @@ class IndependenceService:
             self.single_flight.fail(
                 request.key, ReproError("request shed at admission")
             )
-            return (
+            return self._reply(
+                started,
                 429,
                 error_body(429, "admission queue full", retry_after=retry_after),
                 {"Retry-After": str(retry_after)},
+                source="shed",
+                key=request.key,
             )
         self._pending.append(_Pending(request, future, started))
         self._wakeup.set()
         return await self._await_result(request, future, started, False)
+
+    def _cache_hit(
+        self, cached: dict, key: str, started: float, parsed: bool
+    ) -> tuple[int, dict, dict]:
+        self._counts["cache_hits"] += 1
+        self.metrics.counter("serve.cache_hits").inc()
+        response = dict(cached)
+        response["served"] = {**response["served"], "source": "cache"}
+        self._observe_latency(started)
+        return self._reply(
+            started, 200, response, source="cache", key=key, parsed=parsed
+        )
 
     async def _await_result(
         self,
@@ -247,14 +307,26 @@ class IndependenceService:
             self.metrics.counter("serve.watchdog_timeouts").inc()
             self.breaker.record_fault()
             self._observe_latency(started)
-            return 200, degraded_response(request, reason="watchdog"), {}
+            response = degraded_response(request, reason="watchdog")
+            return self._reply(
+                started, 200, response, source="degraded", key=request.key
+            )
         except ServiceDraining:
             self._counts["degraded"] += 1
             self._observe_latency(started)
-            return 200, degraded_response(request, reason="draining"), {}
+            response = degraded_response(request, reason="draining")
+            return self._reply(
+                started, 200, response, source="degraded", key=request.key
+            )
         except ReproError as error:
             self._counts["internal_errors"] += 1
-            return 500, error_body(500, str(error)), {}
+            return self._reply(
+                started,
+                500,
+                error_body(500, str(error)),
+                source="error",
+                key=request.key,
+            )
         if coalesced:
             response = dict(response)
             response["served"] = {
@@ -262,7 +334,38 @@ class IndependenceService:
                 "source": "coalesced",
             }
         self._observe_latency(started)
-        return 200, response, {}
+        return self._reply(
+            started,
+            200,
+            response,
+            source=response["served"]["source"],
+            key=request.key,
+        )
+
+    def _reply(
+        self,
+        started: float,
+        status: int,
+        payload: dict,
+        headers: dict | None = None,
+        *,
+        source: str,
+        key: str | None = None,
+        parsed: bool = True,
+    ) -> tuple[int, dict, dict]:
+        """Every return of :meth:`handle` ends here: one
+        ``serve.request`` span under tracing.  It is recorded whole —
+        a span cannot stay open on the thread's stack across awaits."""
+        if self.tracer.enabled:
+            attributes = {"source": source, "parsed": parsed}
+            if key is not None:
+                attributes["request_key"] = key
+            self.tracer.record_span(
+                "serve.request",
+                int((time.monotonic() - started) * 1e9),
+                attributes,
+            )
+        return status, payload, {} if headers is None else headers
 
     def _observe_latency(self, started: float) -> None:
         elapsed_ms = (time.monotonic() - started) * 1000.0

@@ -34,10 +34,10 @@ def body(fds=None, updates=None, **extra) -> dict:
 
 
 @contextlib.asynccontextmanager
-async def running_service(**overrides):
+async def running_service(tracer=None, **overrides):
     """Boot service + HTTP frontend; yields ``(service, port)``."""
     config = ServeConfig(port=0, **overrides)
-    service = IndependenceService(config)
+    service = IndependenceService(config, tracer=tracer)
     service.start()
     frontend = HttpFrontend(service)
     _, port = await frontend.start("127.0.0.1", 0)
@@ -49,17 +49,15 @@ async def running_service(**overrides):
             await service.drain()
 
 
-async def http_request(port, method, path, payload=None, timeout=30.0):
-    """One ``Connection: close`` request; returns (status, headers, body)."""
+async def raw_exchange(port, request: bytes, timeout=30.0):
+    """Send raw bytes and read until the server closes the connection.
+
+    Returns ``(status, headers, body_bytes)``; a server that keeps the
+    connection open fails the read's timeout.
+    """
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
-        encoded = b"" if payload is None else json.dumps(payload).encode()
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: test\r\nContent-Length: {len(encoded)}\r\n"
-            f"Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode("ascii") + encoded)
+        writer.write(request)
         await writer.drain()
         raw = await asyncio.wait_for(reader.read(-1), timeout)
     finally:
@@ -73,6 +71,26 @@ async def http_request(port, method, path, payload=None, timeout=30.0):
     for line in lines[1:]:
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
+    return status, headers, body_blob
+
+
+async def http_request(port, method, path, payload=None, timeout=30.0):
+    """One ``Connection: close`` request; returns (status, headers, body).
+
+    ``payload`` is sent JSON-encoded, or as is when it is ``bytes``.
+    """
+    if isinstance(payload, bytes):
+        encoded = payload
+    else:
+        encoded = b"" if payload is None else json.dumps(payload).encode()
+    head = (
+        f"{method} {path} HTTP/1.1\r\n"
+        f"Host: test\r\nContent-Length: {len(encoded)}\r\n"
+        f"Connection: close\r\n\r\n"
+    )
+    status, headers, body_blob = await raw_exchange(
+        port, head.encode("ascii") + encoded, timeout
+    )
     return status, headers, json.loads(body_blob)
 
 

@@ -9,8 +9,14 @@ signals (covered by ``test_drain``).
 from __future__ import annotations
 
 import asyncio
+import json
 
+import pytest
+
+from repro.obs.trace import InMemorySpanCollector, Tracer
+from repro.serve import service as service_module
 from repro.serve.breaker import CLOSED, OPEN
+from repro.serve.dedup import ResultJournal
 from tests.serve.conftest import (
     FD_ITEMS,
     FD_ORDERS,
@@ -20,6 +26,7 @@ from tests.serve.conftest import (
     body,
     http_request,
     post_independence,
+    raw_exchange,
     running_service,
 )
 
@@ -88,6 +95,38 @@ class TestBasicServing:
                 )
                 assert status == 405
                 assert headers["allow"] == "POST"
+                # a Content-Length that is not plain digits is malformed
+                # framing: 400 and close, never a dropped socket
+                for length, expected in (
+                    ("abc", 400), ("-1", 400), ("+5", 400), ("9" * 5000, 413)
+                ):
+                    status, headers, _ = await raw_exchange(
+                        port,
+                        b"POST /v1/independence HTTP/1.1\r\nHost: test\r\n"
+                        + f"Content-Length: {length}\r\n\r\n".encode(),
+                        timeout=5.0,
+                    )
+                    assert status == expected, length
+                    assert headers["connection"] == "close"
+                # connection tokens are case-insensitive: each of these
+                # closes (the read to EOF would time out otherwise)
+                for value in ("Close", "CLOSE", "TE, close"):
+                    status, headers, _ = await raw_exchange(
+                        port,
+                        b"GET /healthz HTTP/1.1\r\nHost: test\r\n"
+                        + f"Connection: {value}\r\n\r\n".encode(),
+                        timeout=5.0,
+                    )
+                    assert status == 200, value
+                    assert headers["connection"] == "close"
+                # an integer too long to convert and nesting too deep
+                # to decode are bad bodies too, not dropped sockets
+                for raw_body in (b"1" * 5000, b"[" * 100_000):
+                    status, _, payload = await post_independence(
+                        port, raw_body
+                    )
+                    assert status == 400
+                    assert payload["error"].startswith("invalid JSON body")
 
         asyncio.run(scenario())
 
@@ -111,6 +150,160 @@ class TestBasicServing:
                 assert stats["latency_ms"]["p99"] >= stats["latency_ms"]["p50"]
 
         asyncio.run(scenario())
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Every body the service hands to ``parse_request``, in order."""
+    seen = []
+    real = service_module.parse_request
+
+    def counting(payload, default_strategy):
+        seen.append(payload)
+        return real(payload, default_strategy)
+
+    monkeypatch.setattr(service_module, "parse_request", counting)
+    return seen
+
+
+class TestParseFreeCacheHits:
+    """A body seen before whose decided answer is cached skips the parse."""
+
+    def test_repeated_body_is_parsed_once(self, parses):
+        async def scenario():
+            async with running_service() as (service, port):
+                answers = [
+                    (await post_independence(port, body()))[2]
+                    for _ in range(3)
+                ]
+                assert [a["served"]["source"] for a in answers] == [
+                    "computed", "cache", "cache"
+                ]
+                assert answers[1]["matrix"] == answers[0]["matrix"]
+                assert len(parses) == 1
+                counters = service.stats()["counters"]
+                assert counters["cache_hits"] == 2
+                assert counters["parse_skipped"] == 2
+                _, _, metrics = await http_request(port, "GET", "/metrics")
+                assert metrics["counters"]["serve.parse_skipped"] == 2
+
+        asyncio.run(scenario())
+
+    def test_reordered_keys_and_whitespace_still_skip(self, parses):
+        async def scenario():
+            async with running_service() as (service, port):
+                await post_independence(port, body())
+                respaced = (
+                    '{ "updates" : [ %s ],\n\t"fds":[%s] }'
+                    % (json.dumps(UPDATE_STATUS), json.dumps(FD_ORDERS))
+                ).encode()
+                _, _, answer = await post_independence(port, respaced)
+                assert answer["served"]["source"] == "cache"
+                assert len(parses) == 1
+                assert service.stats()["counters"]["parse_skipped"] == 1
+
+        asyncio.run(scenario())
+
+    def test_bad_body_is_never_remembered(self, parses):
+        async def scenario():
+            async with running_service() as (service, port):
+                bad = {"fds": ["not an fd"], "updates": [UPDATE_STATUS]}
+                for _ in range(2):
+                    status, _, _ = await post_independence(port, bad)
+                    assert status == 400
+                counters = service.stats()["counters"]
+                assert counters["parse_errors"] == 2
+                assert counters["parse_skipped"] == 0
+                assert len(parses) == 2
+
+        asyncio.run(scenario())
+
+    def test_unknown_answer_is_parsed_and_recomputed(self, parses):
+        async def scenario():
+            async with running_service(max_explored=1) as (service, port):
+                for _ in range(2):
+                    _, _, answer = await post_independence(port, body())
+                    assert answer["matrix"]["unknown"] > 0
+                    assert answer["served"]["source"] == "computed"
+                assert len(parses) == 2
+                counters = service.stats()["counters"]
+                assert counters["computed"] == 2
+                assert counters["parse_skipped"] == 0
+
+        asyncio.run(scenario())
+
+    def test_map_is_bounded_and_evicted_bodies_take_the_full_path(
+        self, parses
+    ):
+        async def scenario():
+            async with running_service() as (service, port):
+                service.results = ResultJournal(None, cache_limit=2)
+                # three keys through a 2-entry cache: the first is gone
+                # from both maps and is computed again, identically
+                first = (await post_independence(port, body()))[2]
+                for update in (UPDATE_NAME, "/orders/order/total"):
+                    await post_independence(port, body(updates=[update]))
+                    assert len(service._body_keys) <= 2
+                again = (await post_independence(port, body()))[2]
+                assert again["served"]["source"] == "computed"
+                assert again["matrix"]["verdicts"] == (
+                    first["matrix"]["verdicts"]
+                )
+                # bodies that parse to one key share its cached answer:
+                # two of them push the original body's digest out while
+                # the answer stays cached, so it is parsed, then served
+                for variant in ({"strategy": "auto"}, {"want_witness": False}):
+                    _, _, answer = await post_independence(
+                        port, body(**variant)
+                    )
+                    assert answer["served"]["source"] == "cache"
+                    assert len(service._body_keys) <= 2
+                parsed_before = len(parses)
+                _, _, answer = await post_independence(port, body())
+                assert len(parses) == parsed_before + 1
+                assert answer["served"]["source"] == "cache"
+                assert answer["matrix"] == again["matrix"]
+                assert len(service._body_keys) <= 2
+
+        asyncio.run(scenario())
+
+    def test_body_too_deep_to_digest_takes_the_full_path(self, parses):
+        deep = 0
+        for _ in range(100_000):
+            deep = [deep]
+
+        async def scenario():
+            async with running_service() as (service, _port):
+                answers = [
+                    await service.handle(body(extra=deep)) for _ in range(2)
+                ]
+                assert [status for status, _, _ in answers] == [200, 200]
+                assert [a["served"]["source"] for _, a, _ in answers] == [
+                    "computed", "cache"
+                ]
+                assert len(parses) == 2
+                assert len(service._body_keys) == 0
+
+        asyncio.run(scenario())
+
+    def test_each_post_records_one_request_span(self):
+        collector = InMemorySpanCollector()
+
+        async def scenario():
+            async with running_service(tracer=Tracer(collector)) as (_, port):
+                _, _, answer = await post_independence(port, body())
+                await post_independence(port, body())
+                await post_independence(port, {"fds": ["not an fd"]})
+            return answer["served"]["request_key"]
+
+        key = asyncio.run(scenario())
+        spans = collector.by_name("serve.request")
+        assert [span.attributes for span in spans] == [
+            {"source": "computed", "parsed": True, "request_key": key},
+            {"source": "cache", "parsed": False, "request_key": key},
+            {"source": "bad-request", "parsed": True},
+        ]
+        assert all(span.duration_ns > 0 for span in spans)
 
 
 class TestSingleFlightCoalescing:
