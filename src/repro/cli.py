@@ -1013,9 +1013,8 @@ def build_parser() -> argparse.ArgumentParser:
     def _corpus_common(sub, budget: bool = True) -> None:
         sub.add_argument(
             "store",
-            help="store location: a sqlite database file path, or "
-            "':memory:' for an in-process store (postgres:// is "
-            "recognized but requires a driver)",
+            help="store location: a sqlite database file path (or "
+            "sqlite://PATH), or ':memory:' for an in-process store",
         )
         sub.add_argument(
             "--json-out",

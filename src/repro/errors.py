@@ -242,24 +242,7 @@ class ResumeMismatchError(ReproError):
 class StoreError(ReproError):
     """Error raised by the corpus storage layer (:mod:`repro.store`).
 
-    Covers malformed stored row sets, unusable database files, and
-    misuse of the :class:`~repro.store.corpus.CorpusStore` API.
+    Covers malformed stored document bodies, unusable or old-layout
+    database files, unsupported store locations, and misuse of the
+    :class:`~repro.store.corpus.CorpusStore` API.
     """
-
-
-class StoreBackendUnavailable(StoreError):
-    """A storage backend was requested that this environment cannot run.
-
-    Structured so callers (and the CLI) can render an actionable
-    message instead of an ImportError traceback: ``backend`` names the
-    requested backend, ``reason`` says why it is unavailable, and
-    ``hint`` says what would make it available.
-    """
-
-    def __init__(self, backend: str, reason: str, hint: str) -> None:
-        self.backend = backend
-        self.reason = reason
-        self.hint = hint
-        super().__init__(
-            f"storage backend {backend!r} is unavailable: {reason} ({hint})"
-        )

@@ -18,7 +18,11 @@ import typing
 from repro.fd.fd import FunctionalDependency
 from repro.fd.satisfaction import document_satisfies
 from repro.pattern.matcher import PatternMatcher
-from repro.update.apply import Update, apply_update
+from repro.update.apply import (
+    Update,
+    apply_update,
+    apply_update_with_relabels,
+)
 from repro.xmlmodel.tree import XMLDocument
 
 if typing.TYPE_CHECKING:
@@ -58,19 +62,29 @@ def revalidation_check(
     still shares the process-wide compiled-automaton cache.
     """
     started = time.perf_counter()
+    updated = apply_update(document, update)
+    return _recheck(fd, document, updated, check_before, matcher, started)
+
+
+def _recheck(
+    fd: FunctionalDependency,
+    document: XMLDocument,
+    updated: XMLDocument,
+    check_before: bool,
+    matcher: PatternMatcher | None,
+    started: float,
+) -> RevalidationOutcome:
     satisfied_before = (
         document_satisfies(fd, document, matcher=matcher)
         if check_before
         else True
     )
-    updated = apply_update(document, update)
     satisfied_after = document_satisfies(fd, updated)
-    elapsed = time.perf_counter() - started
     return RevalidationOutcome(
         satisfied_before=satisfied_before,
         satisfied_after=satisfied_after,
         updated_document=updated,
-        elapsed_seconds=elapsed,
+        elapsed_seconds=time.perf_counter() - started,
     )
 
 
@@ -100,10 +114,12 @@ def apply_with_fallback(
 
     This is the degradation router for budgeted analyses: an
     INDEPENDENT verdict lets the update commit without looking at the
-    document again, while POSSIBLY_DEPENDENT and UNKNOWN (budget
-    exhausted — proves nothing) both take the sound fallback of
-    :func:`revalidation_check`.  ``result`` must stem from the same FD
-    and update class as ``update``, which is asserted by name.
+    document again, unless the performer changed the label of a node
+    it replaced; that, POSSIBLY_DEPENDENT and UNKNOWN (budget
+    exhausted — proves nothing) all take the sound fallback of
+    :func:`revalidation_check` on the updated document.  ``result``
+    must stem from the same FD and update class as ``update``, which
+    is asserted by name.
     """
     from repro.errors import IndependenceError
 
@@ -113,17 +129,18 @@ def apply_with_fallback(
             f"cannot route update {update.name!r} of class "
             f"{update.update_class.name!r}"
         )
-    if result.independent:
-        updated = apply_update(document, update)
+    started = time.perf_counter()
+    updated, relabeled = apply_update_with_relabels(document, update)
+    if result.independent and not relabeled:
         return RoutedOutcome(
             fd_preserved=True, revalidated=False, updated_document=updated
         )
-    outcome = revalidation_check(
-        result.fd, document, update, check_before=check_before
+    outcome = _recheck(
+        result.fd, document, updated, check_before, None, started
     )
     return RoutedOutcome(
         fd_preserved=outcome.satisfied_after,
         revalidated=True,
-        updated_document=outcome.updated_document,
+        updated_document=updated,
         revalidation=outcome,
     )

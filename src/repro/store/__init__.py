@@ -1,12 +1,12 @@
-"""Pluggable corpus storage (the DBnonRelational encoding, persisted).
+"""Pluggable corpus storage: one stored row per document.
 
 The package splits into four layers:
 
-* :mod:`repro.store.encoding` — document <-> node/edge/attr rows;
+* :mod:`repro.store.encoding` — document <-> one flat preorder body;
 * :mod:`repro.store.backend` — the :class:`StorageBackend` contract and
   the :func:`open_backend` location factory (plus the
-  :mod:`~repro.store.memory`, :mod:`~repro.store.sqlite` and stubbed
-  :mod:`~repro.store.postgres` implementations behind it);
+  :mod:`~repro.store.memory` and :mod:`~repro.store.sqlite`
+  implementations behind it);
 * :mod:`repro.store.fdstate` — persistable FD index snapshots;
 * :mod:`repro.store.corpus` — :class:`CorpusStore`, the corpus-scale
   load / check-FD / guarded-apply operations.
@@ -23,7 +23,7 @@ from repro.store.corpus import (
     open_corpus,
 )
 from repro.store.encoding import (
-    DocumentRows,
+    DocumentBody,
     decode_document,
     encode_document,
 )
@@ -37,8 +37,8 @@ __all__ = [
     "CorpusLoadReport",
     "CorpusStore",
     "DocumentApply",
+    "DocumentBody",
     "DocumentCheck",
-    "DocumentRows",
     "FDIndexState",
     "MemoryBackend",
     "SqliteBackend",

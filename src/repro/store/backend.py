@@ -1,16 +1,16 @@
 """The corpus storage backend contract and the URL-style factory.
 
-A backend stores *shredded* documents — the node/edge/attr row sets of
-:mod:`repro.store.encoding` — keyed by document name, plus two side
-tables: per-document content digests (``sha256`` of the source bytes,
-the skip-unchanged key of warm reopens) and persisted
+A backend stores each document as one
+:class:`~repro.store.encoding.DocumentBody` keyed by document name,
+beside its content digest (``sha256`` of the source bytes, the
+skip-unchanged key of warm reopens), plus persisted
 :class:`~repro.store.fdstate.FDIndexState` blobs keyed by ``(document,
 fd fingerprint)``.
 
 The contract is deliberately small and *deterministic*: every read
-returns canonical row ordering regardless of backend, so the
-differential suite can demand bit-for-bit identical behaviour from the
-in-memory and SQLite implementations on every corpus operation.
+returns canonical ordering regardless of backend, so the differential
+suite can demand bit-for-bit identical behaviour from the in-memory
+and SQLite implementations on every corpus operation.
 
 Durability boundary: mutations between :meth:`StorageBackend
 .begin_chunk` and :meth:`StorageBackend.commit_chunk` become durable
@@ -22,14 +22,20 @@ Backends resolve from a location string::
 
     ":memory:" / "memory://"   in-process, dies with the process
     "corpus.db" / "sqlite://corpus.db"   stdlib sqlite3, WAL mode
-    "postgres://..." / "postgresql://..."   optional; degrades with a
-        structured StoreBackendUnavailable when the driver is absent
+
+Any other ``scheme://`` location is a :class:`~repro.errors.StoreError`
+naming these forms.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import StoreError
-from repro.store.encoding import DocumentRows
+from repro.store.encoding import DocumentBody
+
+#: a URL scheme prefix (RFC 3986), as in ``sqlite://`` or ``postgres://``
+_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://")
 
 
 class StorageBackend:
@@ -46,13 +52,13 @@ class StorageBackend:
     # -- documents ------------------------------------------------------
 
     def put_document(
-        self, doc_name: str, sha256: str, rows: DocumentRows
+        self, doc_name: str, sha256: str, body: DocumentBody
     ) -> None:
         """Insert or replace one document (invalidates its FD states)."""
         raise NotImplementedError
 
-    def get_rows(self, doc_name: str) -> DocumentRows | None:
-        """The stored row set of ``doc_name`` (canonical order)."""
+    def get_rows(self, doc_name: str) -> DocumentBody | None:
+        """The stored body of ``doc_name``, or ``None`` when absent."""
         raise NotImplementedError
 
     def get_sha(self, doc_name: str) -> str | None:
@@ -110,7 +116,11 @@ class StorageBackend:
     # -- lifecycle / introspection -------------------------------------
 
     def stats(self) -> dict:
-        """Row counts and identity: documents/nodes/edges/attrs/..."""
+        """Counts and identity: documents/nodes/edges/attrs/...
+
+        ``nodes`` counts element and text nodes, ``edges`` their parent
+        edges (``nodes - documents``) and ``attrs`` attribute nodes.
+        """
         raise NotImplementedError
 
     def dump(self) -> dict:
@@ -141,14 +151,15 @@ def open_backend(location: str) -> StorageBackend:
         from repro.store.memory import MemoryBackend
 
         return MemoryBackend()
-    if location.startswith(("postgres://", "postgresql://")):
-        from repro.store.postgres import open_postgres
-
-        return open_postgres(location)
     if location.startswith("sqlite://"):
         location = location[len("sqlite://") :]
         if not location:
             raise StoreError("sqlite:// needs a database path")
+    elif _SCHEME.match(location):
+        raise StoreError(
+            f"unsupported storage location {location!r}: use a sqlite "
+            f"database path, 'sqlite://PATH', ':memory:' or 'memory://'"
+        )
     from repro.store.sqlite import SqliteBackend
 
     return SqliteBackend(location)

@@ -7,7 +7,7 @@ pipeline into corpus-scale operations:
 * :meth:`CorpusStore.load_paths` — chunked bulk load of files and
   directories through the tolerant audit walker and the
   :class:`~repro.limits.ParseBudget` untrusted-input guards.  Each
-  file's raw sha256 is stored with its rows; re-loading a path whose
+  file's raw sha256 is stored with its body; re-loading a path whose
   stored digest matches is a *skip*, which makes a load idempotent,
   incremental, and — because chunks commit atomically — resumable
   after a crash by simply running it again.
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import time
 
 from repro.audit.findings import (
@@ -61,7 +60,11 @@ from repro.persistence.manifest import (
 )
 from repro.persistence.store import CheckpointStore
 from repro.store.backend import StorageBackend, open_backend
-from repro.store.encoding import decode_document, encode_document
+from repro.store.encoding import (
+    DocumentBody,
+    decode_document,
+    encode_document,
+)
 from repro.store.fdstate import FDIndexState, fingerprint_fd
 from repro.xmlmodel.parser import parse_document
 from repro.xmlmodel.tree import XMLDocument
@@ -79,18 +82,9 @@ def _sha256_bytes(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
-def _rows_digest(rows) -> str:
-    """Content digest of a shredded document (for docs born in-store)."""
-    payload = json.dumps(
-        {
-            "nodes": [list(row) for row in rows.nodes],
-            "edges": [list(row) for row in rows.edges],
-            "attrs": [list(row) for row in rows.attrs],
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return "rows:" + hashlib.sha256(payload.encode("utf-8")).hexdigest()
+def _body_digest(body: DocumentBody) -> str:
+    """Content digest of a stored body (for docs born in-store)."""
+    return "body:" + _sha256_bytes(body.text.encode("utf-8"))
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +302,12 @@ class CorpusApplyReport:
 
 
 class CorpusStore:
-    """A corpus of shredded documents behind a storage backend."""
+    """A corpus of stored documents behind a storage backend.
+
+    Each document is kept as one encoded body (:mod:`repro.store
+    .encoding`) under its name and content digest; every read
+    materializes a whole document, and nothing queries inside one.
+    """
 
     def __init__(self, backend: StorageBackend) -> None:
         self.backend = backend
@@ -334,15 +333,15 @@ class CorpusStore:
         self, name: str, document: XMLDocument, sha256: str | None = None
     ) -> str:
         """Store one document; returns the recorded content digest."""
-        rows = encode_document(document)
-        digest = sha256 if sha256 is not None else _rows_digest(rows)
-        self.backend.put_document(name, digest, rows)
+        body = encode_document(document)
+        digest = sha256 if sha256 is not None else _body_digest(body)
+        self.backend.put_document(name, digest, body)
         return digest
 
     def get_document(self, name: str) -> XMLDocument | None:
         """Materialize one stored document (``None`` when absent)."""
-        rows = self.backend.get_rows(name)
-        return None if rows is None else decode_document(rows)
+        body = self.backend.get_rows(name)
+        return None if body is None else decode_document(body)
 
     def get_document_by_sha(
         self, sha256: str
@@ -351,17 +350,17 @@ class CorpusStore:
         name = self.backend.find_by_sha(sha256)
         if name is None:
             return None
-        rows = self.backend.get_rows(name)
-        if rows is None:
+        body = self.backend.get_rows(name)
+        if body is None:
             return None
-        return name, decode_document(rows)
+        return name, decode_document(body)
 
     def document_names(self) -> list[str]:
         """All stored document names, sorted."""
         return [name for name, _ in self.backend.list_documents()]
 
     def stats(self) -> dict:
-        """Backend row counts plus the store location."""
+        """The backend's document, node and index-state counts."""
         return self.backend.stats()
 
     # -- bulk load ------------------------------------------------------
@@ -836,10 +835,10 @@ class CorpusStore:
                         certified=certified,
                     )
                     if outcome.committed:
-                        rows = encode_document(outcome.document)
-                        result_sha = _rows_digest(rows)
+                        body = encode_document(outcome.document)
+                        result_sha = _body_digest(body)
                     else:
-                        rows = None
+                        body = None
                         result_sha = self.backend.get_sha(name) or "missing"
                     record = DocumentApply(
                         name=name,
@@ -870,7 +869,7 @@ class CorpusStore:
                         )
                     if outcome.committed:
                         self.backend.begin_chunk()
-                        self.backend.put_document(name, result_sha, rows)
+                        self.backend.put_document(name, result_sha, body)
                         self.backend.commit_chunk()
                     report.documents.append(record)
                     if _after_document is not None:

@@ -1,155 +1,142 @@
-"""The relational node/edge/attr encoding of XML documents.
+"""The one-row encoding of XML documents: a flat preorder body.
 
-Documents are shredded into three generic relations, the encoding of
-the ``DBnonRelational`` line of work (a generic node/edge/attribute
-schema instead of one table per element type):
+A stored document is one JSON text, its *body*: the list of its nodes
+in document (pre)order, each as a ``[label, value, child_count]``
+triple.  ``label`` is the node label as the tree model spells it (the
+``"/"`` root, ``"@"``-prefixed attributes, ``"#text"``), ``value`` is
+``null`` for elements and the string value otherwise, and
+``child_count`` counts the node's children, attribute children
+included, so document order — the attribute-before-content discipline
+the serializer enforces among it — survives the round trip exactly.
 
-``nodes``
-    one row per element or text node — ``(node_id, kind, label,
-    value)``, where ``kind`` is ``"e"`` (element, ``value`` is
-    ``None``) or ``"t"`` (text, ``label`` is ``#text``).  The document
-    root (the reserved ``"/"`` element) is node 0.
+The list is flat on purpose.  A nested ``[label, value, children]``
+tree would make ``json.dumps`` and ``json.loads`` recurse once per
+level and raise ``RecursionError`` past about a thousand levels, while
+the model (and ``corpus load --no-parse-guards``) admits documents ten
+thousand levels deep.  Both directions here walk the tree with an
+explicit stack.
 
-``edges``
-    one row per element/text child — ``(parent_id, child_id,
-    position)``.  ``position`` is the child's index in the *full*
-    children list of the parent (attribute children included), so
-    document order — including the attribute-before-content discipline
-    the serializer enforces — survives the round trip exactly.
-
-``attrs``
-    one row per attribute node — ``(owner_id, position, name,
-    value)``; ``name`` is stored without the ``@`` sigil, per the
-    relational idiom.  Attribute nodes never get a ``nodes`` row: the
-    three relations partition the tree.
-
-Node ids are preorder ranks (root = 0), so the encoding of a document
-is a pure function of its shape — two value-equal documents produce
-identical row sets, which is what lets the differential suite demand
-bit-for-bit equality across storage backends.
-
-:func:`encode_document` and :func:`decode_document` are exact inverses
-on every document the tree model admits (the property suite drives
-this over random documents); a row set that does not describe a tree
-(dangling parents, duplicate positions) is rejected with
-:class:`~repro.errors.StoreError` rather than decoded into something
-silently wrong.
+The body is a pure function of the document's shape, so two
+value-equal documents encode to identical bodies: that is what lets
+the differential suite demand bit-for-bit equal stores across
+backends, and what content digests of documents created inside the
+store hash.  :func:`encode_document` and :func:`decode_document` are
+exact inverses on every document the tree model admits; a body that
+does not describe one tree (not JSON, a malformed triple, too few or
+too many triples) raises :class:`~repro.errors.StoreError` rather
+than decoding into something silently wrong.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 
-from repro.errors import StoreError
+from repro.errors import StoreError, XMLModelError
 from repro.xmlmodel.tree import (
     ATTRIBUTE_PREFIX,
-    NodeType,
+    TEXT_LABEL,
     XMLDocument,
     XMLNode,
 )
 
-KIND_ELEMENT = "e"
-KIND_TEXT = "t"
-
-NodeRow = tuple[int, str, str, str | None]
-EdgeRow = tuple[int, int, int]
-AttrRow = tuple[int, int, str, str]
+# ASCII output (the default): any string the model holds, a lone
+# surrogate included, then round-trips, hashes and binds to SQLite
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
 @dataclasses.dataclass(frozen=True)
-class DocumentRows:
-    """The three relations of one shredded document."""
+class DocumentBody:
+    """One stored document: its body text and its node counts.
 
-    nodes: tuple[NodeRow, ...]
-    edges: tuple[EdgeRow, ...]
-    attrs: tuple[AttrRow, ...]
+    The counts are kept beside the body so store statistics never
+    decode a document.
+    """
+
+    text: str
+    #: element and text nodes; each but the root hangs off one edge
+    nodes: int
+    #: attribute nodes
+    attrs: int
 
     @property
     def node_count(self) -> int:
         """Total tree nodes (element + text + attribute)."""
-        return len(self.nodes) + len(self.attrs)
+        return self.nodes + self.attrs
 
 
-def encode_document(document: XMLDocument) -> DocumentRows:
-    """Shred a document into its node/edge/attr rows (preorder ids)."""
-    nodes: list[NodeRow] = []
-    edges: list[EdgeRow] = []
-    attrs: list[AttrRow] = []
-    next_id = 0
-    # (node, parent_id, position); explicit stack keeps deep trees safe,
-    # children pushed reversed so ids come out in preorder
-    stack: list[tuple[XMLNode, int, int]] = [(document.root, -1, 0)]
+def encode_document(document: XMLDocument) -> DocumentBody:
+    """The body of a document, with its node counts."""
+    triples: list[tuple[str, str | None, int]] = []
+    attrs = 0
+    stack = [document.root]
     while stack:
-        node, parent_id, position = stack.pop()
-        if node.node_type is NodeType.ATTRIBUTE:
-            attrs.append(
-                (parent_id, position, node.label[1:], node.value or "")
-            )
-            continue
-        node_id = next_id
-        next_id += 1
-        if parent_id >= 0:
-            edges.append((parent_id, node_id, position))
-        if node.node_type is NodeType.TEXT:
-            nodes.append((node_id, KIND_TEXT, node.label, node.value or ""))
-            continue
-        nodes.append((node_id, KIND_ELEMENT, node.label, None))
-        for index in range(len(node.children) - 1, -1, -1):
-            stack.append((node.children[index], node_id, index))
-    edges.sort()
-    attrs.sort()
-    return DocumentRows(
-        nodes=tuple(nodes), edges=tuple(edges), attrs=tuple(attrs)
+        node = stack.pop()
+        label = node.label
+        children = node.children
+        triples.append((label, node.value, len(children)))
+        if children:
+            stack.extend(reversed(children))
+        elif label.startswith(ATTRIBUTE_PREFIX):
+            attrs += 1
+    return DocumentBody(
+        _ENCODER.encode(triples), len(triples) - attrs, attrs
     )
 
 
-def decode_document(rows: DocumentRows) -> XMLDocument:
-    """Rebuild the document a row set encodes (inverse of encode)."""
-    by_id: dict[int, XMLNode] = {}
-    for node_id, kind, label, value in rows.nodes:
-        if node_id in by_id:
-            raise StoreError(f"duplicate node id {node_id} in stored rows")
-        if kind == KIND_ELEMENT:
-            by_id[node_id] = XMLNode(label)
-        elif kind == KIND_TEXT:
-            by_id[node_id] = XMLNode(label, value=value or "")
+def decode_document(body: DocumentBody) -> XMLDocument:
+    """Rebuild the document a body encodes (inverse of encode)."""
+    try:
+        triples = json.loads(body.text)
+    except (ValueError, RecursionError) as error:
+        raise StoreError(f"stored body is not JSON: {error}") from None
+    if not isinstance(triples, list) or not triples:
+        raise StoreError("stored body is not a non-empty list of triples")
+    new_node = XMLNode.__new__
+    root = None
+    # [element, children still to come] for every element whose
+    # children are not all read yet, innermost last
+    pending: list[list] = []
+    for triple in triples:
+        try:
+            label, value, count = triple
+        except (TypeError, ValueError):
+            raise StoreError(f"malformed stored triple {triple!r}") from None
+        if type(label) is not str or type(count) is not int or count < 0:
+            raise StoreError(f"malformed stored triple {triple!r}")
+        # the model's typing: only elements have no value, and only
+        # elements have children
+        leaf = label == TEXT_LABEL or label.startswith(ATTRIBUTE_PREFIX)
+        if (value is None) == leaf or (
+            leaf and (count or type(value) is not str)
+        ):
+            raise StoreError(f"stored triple {triple!r} is mistyped")
+        node = new_node(XMLNode)
+        node.label = label
+        node.value = value
+        node.children = []
+        if pending:
+            slot = pending[-1]
+            node.parent = parent = slot[0]
+            parent.children.append(node)
+            slot[1] -= 1
+            if not slot[1]:
+                pending.pop()
+        elif root is None:
+            node.parent = None
+            root = node
         else:
-            raise StoreError(f"unknown stored node kind {kind!r}")
-    if 0 not in by_id:
-        raise StoreError("stored rows carry no root node (id 0)")
-    # children of each parent: merge edge rows and attr rows by position
-    children: dict[int, list[tuple[int, XMLNode]]] = {}
-    for parent_id, child_id, position in rows.edges:
-        child = by_id.get(child_id)
-        if child is None or parent_id not in by_id:
             raise StoreError(
-                f"edge ({parent_id}, {child_id}) references a missing node"
+                "stored body has triples after the root's last node"
             )
-        children.setdefault(parent_id, []).append((position, child))
-    for owner_id, position, name, value in rows.attrs:
-        if owner_id not in by_id:
-            raise StoreError(
-                f"attribute {name!r} references missing node {owner_id}"
-            )
-        children.setdefault(owner_id, []).append(
-            (position, XMLNode(ATTRIBUTE_PREFIX + name, value=value))
+        if count:
+            pending.append([node, count])
+    if pending:
+        raise StoreError(
+            f"stored body ends {pending[-1][1]} child(ren) short of "
+            f"node {pending[-1][0].label!r}"
         )
-    for parent_id, slots in children.items():
-        slots.sort(key=lambda entry: entry[0])
-        positions = [position for position, _ in slots]
-        if positions != list(range(len(positions))):
-            raise StoreError(
-                f"child positions of node {parent_id} are not contiguous: "
-                f"{positions}"
-            )
-        parent = by_id[parent_id]
-        for _, child in slots:
-            parent.append_child(child)
-    orphans = [
-        node_id
-        for node_id, node in by_id.items()
-        if node.parent is None and node_id != 0
-    ]
-    if orphans:
-        raise StoreError(f"stored rows leave orphan nodes: {sorted(orphans)}")
-    return XMLDocument(by_id[0])
+    try:
+        return XMLDocument(root)
+    except XMLModelError as error:
+        raise StoreError(f"stored body is not a document: {error}") from None

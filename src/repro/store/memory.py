@@ -15,7 +15,7 @@ states line up with the durable backend's.
 from __future__ import annotations
 
 from repro.store.backend import StorageBackend
-from repro.store.encoding import DocumentRows
+from repro.store.encoding import DocumentBody
 
 
 class MemoryBackend(StorageBackend):
@@ -24,7 +24,7 @@ class MemoryBackend(StorageBackend):
     name = "memory"
 
     def __init__(self) -> None:
-        self._rows: dict[str, DocumentRows] = {}
+        self._bodies: dict[str, DocumentBody] = {}
         self._shas: dict[str, str] = {}
         self._index_states: dict[tuple[str, str], dict] = {}
         self._meta: dict[str, str] = {}
@@ -34,25 +34,25 @@ class MemoryBackend(StorageBackend):
     # -- documents ------------------------------------------------------
 
     def put_document(
-        self, doc_name: str, sha256: str, rows: DocumentRows
+        self, doc_name: str, sha256: str, body: DocumentBody
     ) -> None:
         self._check_name(doc_name)
         if self._in_chunk:
-            self._staged.append(("put", doc_name, sha256, rows))
+            self._staged.append(("put", doc_name, sha256, body))
             return
-        self._apply_put(doc_name, sha256, rows)
+        self._apply_put(doc_name, sha256, body)
 
     def _apply_put(
-        self, doc_name: str, sha256: str, rows: DocumentRows
+        self, doc_name: str, sha256: str, body: DocumentBody
     ) -> None:
-        self._rows[doc_name] = rows
+        self._bodies[doc_name] = body
         self._shas[doc_name] = sha256
         # replacing content invalidates every persisted index state
         for key in [k for k in self._index_states if k[0] == doc_name]:
             del self._index_states[key]
 
-    def get_rows(self, doc_name: str) -> DocumentRows | None:
-        return self._rows.get(doc_name)
+    def get_rows(self, doc_name: str) -> DocumentBody | None:
+        return self._bodies.get(doc_name)
 
     def get_sha(self, doc_name: str) -> str | None:
         return self._shas.get(doc_name)
@@ -70,7 +70,7 @@ class MemoryBackend(StorageBackend):
         self._apply_delete(doc_name)
 
     def _apply_delete(self, doc_name: str) -> None:
-        self._rows.pop(doc_name, None)
+        self._bodies.pop(doc_name, None)
         self._shas.pop(doc_name, None)
         for key in [k for k in self._index_states if k[0] == doc_name]:
             del self._index_states[key]
@@ -125,12 +125,13 @@ class MemoryBackend(StorageBackend):
     # -- introspection --------------------------------------------------
 
     def stats(self) -> dict:
+        nodes = sum(body.nodes for body in self._bodies.values())
         return {
             "backend": self.name,
-            "documents": len(self._rows),
-            "nodes": sum(len(r.nodes) for r in self._rows.values()),
-            "edges": sum(len(r.edges) for r in self._rows.values()),
-            "attrs": sum(len(r.attrs) for r in self._rows.values()),
+            "documents": len(self._bodies),
+            "nodes": nodes,
+            "edges": nodes - len(self._bodies),
+            "attrs": sum(body.attrs for body in self._bodies.values()),
             "index_states": len(self._index_states),
         }
 
@@ -139,11 +140,11 @@ class MemoryBackend(StorageBackend):
             "documents": {
                 name: {
                     "sha256": self._shas[name],
-                    "nodes": [list(row) for row in rows.nodes],
-                    "edges": [list(row) for row in rows.edges],
-                    "attrs": [list(row) for row in rows.attrs],
+                    "body": body.text,
+                    "nodes": body.nodes,
+                    "attrs": body.attrs,
                 }
-                for name, rows in sorted(self._rows.items())
+                for name, body in sorted(self._bodies.items())
             },
             "index_states": {
                 f"{name}::{fingerprint}": state

@@ -1,26 +1,30 @@
 """The stdlib ``sqlite3`` storage backend.
 
-One database file per corpus, five tables::
+One database file per corpus, three tables::
 
-    documents(name PRIMARY KEY, sha256, node_count)
-    nodes(doc, node_id, kind, label, value)       -- elements + text
-    edges(doc, parent_id, child_id, position)     -- document order
-    attrs(doc, owner_id, position, name, value)   -- attribute nodes
+    documents(name PRIMARY KEY, sha256, nodes, attrs, body)
     index_states(doc, fd_fingerprint, state)      -- FDIndexState JSON
     meta(key PRIMARY KEY, value)
+
+Each document is one ``documents`` row: its body (the flat preorder
+triples of :mod:`repro.store.encoding`) and the node counts
+``stats()`` sums.  No query ever selects part of a document, so a
+read is one primary-key lookup, and a write is one insert after
+dropping the document's FD index states.
 
 Engineering choices, all load-bearing:
 
 * **WAL journal mode** — readers do not block the bulk-loading writer,
   and a crash mid-transaction rolls back to the last committed chunk
   (the durability boundary the crash suite pins).
-* **Chunked ``executemany``** — row inserts are buffered per document
-  and flushed with one ``executemany`` per table inside the chunk
-  transaction, the DBnonRelational bulk-insert discipline.
 * **``synchronous=NORMAL``** — fsync at WAL checkpoints, not at every
   commit; with WAL this keeps commits durable against process crash
   (the failure mode we defend), an order of magnitude faster than
   FULL for 10^4-document loads.
+* **Old layouts are refused** — a database written in the earlier
+  shredded layout (it has a ``nodes`` table) raises
+  :class:`~repro.errors.StoreError` on open, before anything is
+  written to it: its files must be loaded into a new store.
 
 Reads return rows in canonical ``ORDER BY`` order so SQLite and the
 in-memory backend are indistinguishable to callers — the property the
@@ -29,43 +33,23 @@ differential suite enforces bit-for-bit.
 
 from __future__ import annotations
 
+import json
 import os
 import sqlite3
 
 from repro.errors import StoreError
 from repro.store.backend import StorageBackend
-from repro.store.encoding import DocumentRows
+from repro.store.encoding import DocumentBody
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS documents (
     name TEXT PRIMARY KEY,
     sha256 TEXT NOT NULL,
-    node_count INTEGER NOT NULL
+    nodes INTEGER NOT NULL,
+    attrs INTEGER NOT NULL,
+    body TEXT NOT NULL
 );
 CREATE INDEX IF NOT EXISTS documents_sha ON documents(sha256);
-CREATE TABLE IF NOT EXISTS nodes (
-    doc TEXT NOT NULL,
-    node_id INTEGER NOT NULL,
-    kind TEXT NOT NULL,
-    label TEXT NOT NULL,
-    value TEXT,
-    PRIMARY KEY (doc, node_id)
-);
-CREATE TABLE IF NOT EXISTS edges (
-    doc TEXT NOT NULL,
-    parent_id INTEGER NOT NULL,
-    child_id INTEGER NOT NULL,
-    position INTEGER NOT NULL,
-    PRIMARY KEY (doc, parent_id, child_id)
-);
-CREATE TABLE IF NOT EXISTS attrs (
-    doc TEXT NOT NULL,
-    owner_id INTEGER NOT NULL,
-    position INTEGER NOT NULL,
-    name TEXT NOT NULL,
-    value TEXT NOT NULL,
-    PRIMARY KEY (doc, owner_id, position)
-);
 CREATE TABLE IF NOT EXISTS index_states (
     doc TEXT NOT NULL,
     fd_fingerprint TEXT NOT NULL,
@@ -78,9 +62,6 @@ CREATE TABLE IF NOT EXISTS meta (
 );
 """
 
-#: rows buffered per ``executemany`` flush
-EXECUTEMANY_CHUNK = 2000
-
 
 class SqliteBackend(StorageBackend):
     """Durable corpus storage on one stdlib-``sqlite3`` database file."""
@@ -91,15 +72,28 @@ class SqliteBackend(StorageBackend):
         self.path = os.fspath(path)
         try:
             self._connection = sqlite3.connect(self.path)
-            self._connection.execute("PRAGMA journal_mode=WAL")
-            self._connection.execute("PRAGMA synchronous=NORMAL")
-            self._connection.execute("PRAGMA foreign_keys=ON")
-            self._connection.executescript(_SCHEMA)
-            self._connection.commit()
+            old_layout = self._connection.execute(
+                "SELECT 1 FROM sqlite_master "
+                "WHERE type = 'table' AND name = 'nodes'"
+            ).fetchone()
+            if old_layout is None:
+                self._connection.execute("PRAGMA journal_mode=WAL")
+                self._connection.execute("PRAGMA synchronous=NORMAL")
+                self._connection.execute("PRAGMA foreign_keys=ON")
+                self._connection.executescript(_SCHEMA)
+                self._connection.commit()
         except sqlite3.Error as error:
             raise StoreError(
                 f"cannot open sqlite corpus store at {self.path}: {error}"
             ) from error
+        if old_layout is not None:
+            self._connection.close()
+            self._connection = None
+            raise StoreError(
+                f"corpus store {self.path} uses the old node/edge/attr "
+                f"layout, which this version cannot read; load the files "
+                f"into a new store with 'repro-xml corpus load'"
+            )
         self._in_chunk = False
 
     # -- low-level helpers ---------------------------------------------
@@ -110,15 +104,6 @@ class SqliteBackend(StorageBackend):
         except sqlite3.Error as error:
             raise StoreError(f"sqlite operation failed: {error}") from error
 
-    def _executemany(self, sql: str, rows: list[tuple]) -> None:
-        try:
-            for start in range(0, len(rows), EXECUTEMANY_CHUNK):
-                self._connection.executemany(
-                    sql, rows[start : start + EXECUTEMANY_CHUNK]
-                )
-        except sqlite3.Error as error:
-            raise StoreError(f"sqlite bulk insert failed: {error}") from error
-
     def _autocommit(self) -> None:
         if not self._in_chunk:
             self._connection.commit()
@@ -126,68 +111,25 @@ class SqliteBackend(StorageBackend):
     # -- documents ------------------------------------------------------
 
     def put_document(
-        self, doc_name: str, sha256: str, rows: DocumentRows
+        self, doc_name: str, sha256: str, body: DocumentBody
     ) -> None:
         self._check_name(doc_name)
-        self._purge_document(doc_name)
         self._execute(
-            "INSERT INTO documents(name, sha256, node_count) VALUES (?,?,?)",
-            (doc_name, sha256, rows.node_count),
+            "DELETE FROM index_states WHERE doc = ?", (doc_name,)
         )
-        self._executemany(
-            "INSERT INTO nodes(doc, node_id, kind, label, value) "
-            "VALUES (?,?,?,?,?)",
-            [(doc_name, *row) for row in rows.nodes],
-        )
-        self._executemany(
-            "INSERT INTO edges(doc, parent_id, child_id, position) "
-            "VALUES (?,?,?,?)",
-            [(doc_name, *row) for row in rows.edges],
-        )
-        self._executemany(
-            "INSERT INTO attrs(doc, owner_id, position, name, value) "
-            "VALUES (?,?,?,?,?)",
-            [(doc_name, *row) for row in rows.attrs],
+        self._execute(
+            "INSERT OR REPLACE INTO documents(name, sha256, nodes, attrs, "
+            "body) VALUES (?,?,?,?,?)",
+            (doc_name, sha256, body.nodes, body.attrs, body.text),
         )
         self._autocommit()
 
-    def _purge_document(self, doc_name: str) -> None:
-        for table in ("documents", "nodes", "edges", "attrs", "index_states"):
-            column = "name" if table == "documents" else "doc"
-            self._execute(
-                f"DELETE FROM {table} WHERE {column} = ?", (doc_name,)
-            )
-
-    def get_rows(self, doc_name: str) -> DocumentRows | None:
-        if self.get_sha(doc_name) is None:
-            return None
-        nodes = [
-            (row[0], row[1], row[2], row[3])
-            for row in self._execute(
-                "SELECT node_id, kind, label, value FROM nodes "
-                "WHERE doc = ? ORDER BY node_id",
-                (doc_name,),
-            )
-        ]
-        edges = [
-            (row[0], row[1], row[2])
-            for row in self._execute(
-                "SELECT parent_id, child_id, position FROM edges "
-                "WHERE doc = ? ORDER BY parent_id, child_id, position",
-                (doc_name,),
-            )
-        ]
-        attrs = [
-            (row[0], row[1], row[2], row[3])
-            for row in self._execute(
-                "SELECT owner_id, position, name, value FROM attrs "
-                "WHERE doc = ? ORDER BY owner_id, position, name, value",
-                (doc_name,),
-            )
-        ]
-        return DocumentRows(
-            nodes=tuple(nodes), edges=tuple(edges), attrs=tuple(attrs)
-        )
+    def get_rows(self, doc_name: str) -> DocumentBody | None:
+        row = self._execute(
+            "SELECT body, nodes, attrs FROM documents WHERE name = ?",
+            (doc_name,),
+        ).fetchone()
+        return None if row is None else DocumentBody(*row)
 
     def get_sha(self, doc_name: str) -> str | None:
         row = self._execute(
@@ -204,7 +146,10 @@ class SqliteBackend(StorageBackend):
         return None if row is None else row[0]
 
     def delete_document(self, doc_name: str) -> None:
-        self._purge_document(doc_name)
+        self._execute("DELETE FROM documents WHERE name = ?", (doc_name,))
+        self._execute(
+            "DELETE FROM index_states WHERE doc = ?", (doc_name,)
+        )
         self._autocommit()
 
     def list_documents(self) -> list[tuple[str, str]]:
@@ -220,8 +165,6 @@ class SqliteBackend(StorageBackend):
     def put_index_state(
         self, doc_name: str, fd_fingerprint: str, state: dict
     ) -> None:
-        import json
-
         self._execute(
             "INSERT OR REPLACE INTO index_states(doc, fd_fingerprint, state) "
             "VALUES (?,?,?)",
@@ -236,8 +179,6 @@ class SqliteBackend(StorageBackend):
     def get_index_state(
         self, doc_name: str, fd_fingerprint: str
     ) -> dict | None:
-        import json
-
         row = self._execute(
             "SELECT state FROM index_states "
             "WHERE doc = ? AND fd_fingerprint = ?",
@@ -281,30 +222,34 @@ class SqliteBackend(StorageBackend):
     # -- introspection --------------------------------------------------
 
     def stats(self) -> dict:
-        def count(table: str) -> int:
-            return self._execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-
+        documents, nodes, attrs = self._execute(
+            "SELECT COUNT(*), COALESCE(SUM(nodes), 0), "
+            "COALESCE(SUM(attrs), 0) FROM documents"
+        ).fetchone()
         return {
             "backend": self.name,
-            "documents": count("documents"),
-            "nodes": count("nodes"),
-            "edges": count("edges"),
-            "attrs": count("attrs"),
-            "index_states": count("index_states"),
+            "documents": documents,
+            "nodes": nodes,
+            "edges": nodes - documents,
+            "attrs": attrs,
+            "index_states": self._execute(
+                "SELECT COUNT(*) FROM index_states"
+            ).fetchone()[0],
         }
 
     def dump(self) -> dict:
-        import json
-
-        documents: dict[str, dict] = {}
-        for doc_name, sha in self.list_documents():
-            rows = self.get_rows(doc_name)
-            documents[doc_name] = {
+        documents = {
+            name: {
                 "sha256": sha,
-                "nodes": [list(row) for row in rows.nodes],
-                "edges": [list(row) for row in rows.edges],
-                "attrs": [list(row) for row in rows.attrs],
+                "body": body,
+                "nodes": nodes,
+                "attrs": attrs,
             }
+            for name, sha, body, nodes, attrs in self._execute(
+                "SELECT name, sha256, body, nodes, attrs FROM documents "
+                "ORDER BY name"
+            )
+        }
         index_states = {
             f"{row[0]}::{row[1]}": json.loads(row[2])
             for row in self._execute(

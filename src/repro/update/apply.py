@@ -209,6 +209,26 @@ def apply_update(
     :class:`UpdateError` carrying :attr:`~repro.errors.UpdateError.update_name`;
     the input document is untouched either way.
     """
+    return apply_update_with_relabels(
+        document, update, timeout_seconds=timeout_seconds, validate=validate
+    )[0]
+
+
+def apply_update_with_relabels(
+    document: XMLDocument,
+    update: Update,
+    timeout_seconds: float | None = None,
+    validate: bool = True,
+) -> tuple[XMLDocument, bool]:
+    """:func:`apply_update`, also saying whether a performer relabeled.
+
+    The flag is true when some replaced node's label differs from its
+    label before the performer ran: a new replacement root with another
+    label, or the node itself relabeled in place.  Independence
+    certificates assume label-preserving performers (DESIGN.md §4), so
+    callers that skip an FD recheck on a certificate must not skip it
+    then.  Deletions keep the flag false.
+    """
     working = document.clone()
     # snapshot before any performer runs: a performer that detaches
     # input-document nodes cannot hide them from the aliasing check
@@ -218,6 +238,7 @@ def apply_update(
         else frozenset()
     )
     selected = update.update_class.selected_nodes(working)
+    relabeled = False
     # Deepest-last document order reversed => children before ancestors.
     for node in reversed(selected):
         if node.parent is None:
@@ -233,10 +254,12 @@ def apply_update(
         # like wrap_in legitimately detach the old node to re-parent it
         parent = node.parent
         index = node.child_index()
+        label = node.label
         replacement = _run_performer(update, node, timeout_seconds)
         if replacement is node:
             if validate:
                 validate_replacement(update, replacement, originals, in_place=True)
+            relabeled = relabeled or node.label != label
             continue
         if node.parent is parent:
             node.detach()
@@ -249,5 +272,6 @@ def apply_update(
                 "a performer must return a detached replacement subtree",
                 update_name=update.name,
             )
+        relabeled = relabeled or replacement.label != label
         parent.insert_child(index, replacement)
-    return working
+    return working, relabeled

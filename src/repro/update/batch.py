@@ -24,7 +24,7 @@ from repro.fd.fd import FunctionalDependency
 from repro.fd.satisfaction import check_fd
 from repro.pattern.matcher import PatternMatcher
 from repro.schema.dtd import Schema
-from repro.update.apply import Update, apply_update
+from repro.update.apply import Update, apply_update_with_relabels
 from repro.xmlmodel.tree import XMLDocument
 
 
@@ -81,12 +81,20 @@ class UpdateBatch:
         performer_timeout_seconds: float | None = None,
     ) -> XMLDocument:
         """Apply all updates in order (no guard)."""
+        return self._apply(document, performer_timeout_seconds)[0]
+
+    def _apply(
+        self, document: XMLDocument, performer_timeout_seconds: float | None
+    ) -> tuple[XMLDocument, bool]:
+        """The updated document, and whether any performer relabeled."""
         current = document
+        relabeled = False
         for update in self.updates:
-            current = apply_update(
+            current, changed = apply_update_with_relabels(
                 current, update, timeout_seconds=performer_timeout_seconds
             )
-        return current
+            relabeled = relabeled or changed
+        return current, relabeled
 
     def apply_guarded(
         self,
@@ -103,7 +111,9 @@ class UpdateBatch:
         already certified independent (e.g. by running
         :func:`repro.independence.check_independence` at class-registration
         time); an FD is skipped when *every* update in the batch is
-        certified against it.  ``assume_valid_before`` skips pre-checks,
+        certified against it and no performer changed the label of a
+        node it replaced (certificates assume label-preserving
+        performers).  ``assume_valid_before`` skips pre-checks,
         matching stores that validate on ingestion.
 
         A failing update (performer crash, timeout when
@@ -136,8 +146,8 @@ class UpdateBatch:
                     )
 
         try:
-            candidate = self.apply(
-                document, performer_timeout_seconds=performer_timeout_seconds
+            candidate, relabeled = self._apply(
+                document, performer_timeout_seconds
             )
         except UpdateError as error:
             return BatchOutcome(
@@ -158,10 +168,15 @@ class UpdateBatch:
         if schema is not None and not schema.is_valid(candidate):
             schema_violation = True
         for fd in fds:
-            fully_certified = all(
-                (fd.name, update.update_class.name) in certified_pairs
-                for update in self.updates
-            ) and bool(self.updates)
+            # a relabeling performer voids every certificate of the batch
+            fully_certified = (
+                not relabeled
+                and bool(self.updates)
+                and all(
+                    (fd.name, update.update_class.name) in certified_pairs
+                    for update in self.updates
+                )
+            )
             if fully_certified:
                 checks_skipped += 1
                 continue

@@ -1,7 +1,7 @@
 """Auditing against a corpus store: cached parses, pinned hard.
 
 The regression this suite pins: the audit used to re-parse every file
-even when its exact bytes were already shredded in a corpus store.
+even when its exact bytes were already stored in a corpus store.
 With ``AuditOptions.store`` set, a loaded corpus audits with *zero*
 ``parse_document`` calls (counted via monkeypatch, not inferred), the
 report carries the hit/miss tallies, and the verdicts are identical

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import StoreBackendUnavailable, StoreError
+from repro.errors import StoreError
 from repro.store import MemoryBackend, SqliteBackend, open_backend
 from repro.store.encoding import encode_document
 from repro.workload.library import generate_library
@@ -147,21 +147,18 @@ class TestOpenBackend:
         assert backend.name == "sqlite"
         backend.close()
 
-    def test_postgres_degrades_structurally(self):
-        with pytest.raises(StoreBackendUnavailable) as info:
-            open_backend("postgres://localhost/corpus")
-        error = info.value
-        assert error.backend == "postgres"
-        assert error.reason
-        assert error.hint
-        # the structured pieces all surface in the rendered message
-        message = str(error)
-        assert "postgres" in message
-        assert error.hint in message
-
-    def test_postgresql_scheme_also_recognized(self):
-        with pytest.raises(StoreBackendUnavailable):
-            open_backend("postgresql://localhost/corpus")
+    def test_unknown_scheme_names_the_accepted_forms(self):
+        for location in (
+            "postgres://localhost/corpus",
+            "postgresql://localhost/corpus",
+            "mysql://db",
+        ):
+            with pytest.raises(StoreError) as info:
+                open_backend(location)
+            message = str(info.value)
+            assert location in message
+            for form in ("sqlite://PATH", ":memory:", "memory://"):
+                assert form in message
 
 
 def test_backends_store_identical_rows(tmp_path):

@@ -3,16 +3,20 @@
 Load: 0 clean / 2 member errors.  Check-fd: 0 satisfied / 2 violated /
 3 unknown.  Apply: 0 all committed / 2 rollbacks.  ``--json-out``
 payloads round-trip the library reports; a second load of the same
-corpus is recognized as unchanged.
+corpus is recognized as unchanged.  A store in the old shredded layout
+is refused with exit 64 by every command that opens a store.
 """
 
 from __future__ import annotations
 
 import json
+import sqlite3
 
 import pytest
 
 from repro.cli import main
+from repro.errors import StoreError
+from repro.store import CorpusStore
 from repro.workload.library import generate_library
 from repro.xmlmodel.serializer import serialize_document
 
@@ -207,3 +211,73 @@ class TestStats:
         out = capsys.readouterr().out
         assert "documents: 4" in out
         assert "backend: sqlite" in out
+
+
+#: the tables of the earlier shredded layout, as it created them
+OLD_LAYOUT = """
+CREATE TABLE documents (
+    name TEXT PRIMARY KEY, sha256 TEXT NOT NULL, node_count INTEGER NOT NULL
+);
+CREATE TABLE nodes (
+    doc TEXT NOT NULL, node_id INTEGER NOT NULL, kind TEXT NOT NULL,
+    label TEXT NOT NULL, value TEXT, PRIMARY KEY (doc, node_id)
+);
+CREATE TABLE edges (
+    doc TEXT NOT NULL, parent_id INTEGER NOT NULL, child_id INTEGER NOT NULL,
+    position INTEGER NOT NULL, PRIMARY KEY (doc, parent_id, child_id)
+);
+CREATE TABLE attrs (
+    doc TEXT NOT NULL, owner_id INTEGER NOT NULL, position INTEGER NOT NULL,
+    name TEXT NOT NULL, value TEXT NOT NULL, PRIMARY KEY (doc, owner_id, position)
+);
+CREATE TABLE index_states (
+    doc TEXT NOT NULL, fd_fingerprint TEXT NOT NULL, state TEXT NOT NULL,
+    PRIMARY KEY (doc, fd_fingerprint)
+);
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+INSERT INTO documents VALUES ('a.xml', 'sha-a', 2);
+INSERT INTO nodes VALUES ('a.xml', 0, 'e', '/', NULL), ('a.xml', 1, 'e', 'a', NULL);
+INSERT INTO edges VALUES ('a.xml', 0, 1, 0);
+"""
+
+
+class TestOldLayout:
+    @pytest.fixture
+    def old_store(self, tmp_path):
+        db = tmp_path / "old.db"
+        connection = sqlite3.connect(db)
+        connection.executescript(OLD_LAYOUT)
+        connection.commit()
+        connection.close()
+        return db
+
+    def test_backend_refuses_without_writing(self, old_store):
+        before = old_store.read_bytes()
+        with pytest.raises(StoreError, match="into a new store"):
+            CorpusStore.open(str(old_store))
+        assert old_store.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["corpus", "load", "{db}", "{corpus}"],
+            ["corpus", "check-fd", "{db}", "--fd", ISBN_TITLE],
+            ["corpus", "apply", "{db}", "--set", "/library/book/price=1"],
+            ["corpus", "stats", "{db}"],
+            ["audit", "{corpus}", "--store", "{db}"],
+        ],
+        ids=["load", "check-fd", "apply", "stats", "audit"],
+    )
+    def test_every_entry_point_exits_64(
+        self, old_store, tmp_path, capsys, command
+    ):
+        corpus = _write_corpus(tmp_path / "corpus", count=1)
+        argv = [
+            part.format(db=old_store, corpus=corpus) for part in command
+        ]
+        assert main(argv) == 64
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert "old node/edge/attr layout" in lines[0]
+        assert "into a new store" in lines[0]

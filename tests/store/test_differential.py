@@ -8,7 +8,8 @@ operation on both, and demands two equalities:
 * the operation reports are identical (modulo ``elapsed_seconds``,
   the only wall-clock field);
 * the backend :meth:`dump` snapshots are identical bit-for-bit —
-  node/edge/attr rows, content digests, persisted FD index states.
+  stored bodies and counts, content digests, persisted FD index
+  states.
 
 The corpus population spans plain checks (120 seeds), budget-starved
 checks that land UNKNOWN (30), checkpoint-interrupted-and-resumed

@@ -2,8 +2,8 @@
 
 Two identities, each over 100+ random documents:
 
-* document → node/edge/attr rows → document is the identity (serialized
-  forms compared — the strongest observable equality the model offers);
+* document → stored body → document is the identity (serialized forms
+  compared — the strongest observable equality the model offers);
 * a persisted-and-reloaded :class:`~repro.store.fdstate.FDIndexState`
   equals the state snapshotted from a freshly built
   :class:`~repro.fd.index.FDIndex` on the same document.
@@ -11,12 +11,20 @@ Two identities, each over 100+ random documents:
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import StoreError
 from repro.fd.linear import LinearFD, translate_linear_fd
-from repro.store import SqliteBackend, decode_document, encode_document
-from repro.store.encoding import DocumentRows
+from repro.store import (
+    CorpusStore,
+    MemoryBackend,
+    SqliteBackend,
+    decode_document,
+    encode_document,
+)
+from repro.store.encoding import DocumentBody
 from repro.store.fdstate import FDIndexState, fingerprint_fd
 from repro.workload.library import generate_library, library_fds
 from repro.workload.random_docs import random_document
@@ -73,31 +81,64 @@ class TestEncodingRoundtrip:
         back = decode_document(rows)
         assert serialize_document(back) == serialize_document(document)
 
-    def test_damaged_rows_are_loud(self):
-        rows = encode_document(random_document(seed=3))
-        # orphan edge: parent id that owns no node
-        bad_edges = rows.edges + ((999, 1000, 0),)
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "non-json",
+            "truncated-text",
+            "truncated-triples",
+            "trailing-triples",
+            "non-string-label",
+            "negative-child-count",
+        ],
+    )
+    def test_damaged_body_is_loud(self, damage):
+        document = doc(elem("a", attr("k", "v"), elem("b", text("t"))))
+        body = encode_document(document)
+        triples = json.loads(body.text)
+        assert triples == [
+            ["/", None, 1],
+            ["a", None, 2],
+            ["@k", "v", 0],
+            ["b", None, 1],
+            ["#text", "t", 0],
+        ]
+        if damage == "non-json":
+            damaged = "not a body"
+        elif damage == "truncated-text":
+            damaged = body.text[: len(body.text) // 2]
+        else:
+            if damage == "truncated-triples":
+                triples = triples[:-1]
+            elif damage == "trailing-triples":
+                triples.append(["c", None, 0])
+            elif damage == "non-string-label":
+                triples[1][0] = 7
+            else:
+                triples[3][2] = -1
+            damaged = json.dumps(triples)
         with pytest.raises(StoreError):
-            decode_document(
-                DocumentRows(
-                    nodes=rows.nodes, edges=bad_edges, attrs=rows.attrs
-                )
-            )
+            decode_document(DocumentBody(damaged, body.nodes, body.attrs))
 
-    def test_gapped_positions_are_loud(self):
-        document = doc(elem("a", elem("b"), elem("c")))
-        rows = encode_document(document)
-        # drop the first child edge: position 1 is now non-contiguous
-        gapped = tuple(
-            edge for edge in rows.edges if edge[2] != 0 or edge[0] != 1
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_ten_thousand_deep_document_roundtrips(self, tmp_path, backend):
+        depth = 10_000
+        source = (
+            '<a k="v">' + "<a>" * (depth - 1) + "t" + "</a>" * depth
         )
-        if gapped != rows.edges:
-            with pytest.raises(StoreError):
-                decode_document(
-                    DocumentRows(
-                        nodes=rows.nodes, edges=gapped, attrs=rows.attrs
-                    )
-                )
+        path = tmp_path / "deep.xml"
+        path.write_text(source, encoding="utf-8")
+        store = CorpusStore(
+            MemoryBackend()
+            if backend == "memory"
+            else SqliteBackend(tmp_path / "deep.db")
+        )
+        with store:
+            report = store.load_paths([str(path)], parse_budget=None)
+            assert report.loaded == 1 and report.errors == 0
+            assert store.stats()["nodes"] == depth + 2  # root and text
+            back = store.get_document(str(path))
+        assert serialize_document(back) == source
 
 
 class TestFDStatePersistence:
