@@ -147,18 +147,31 @@ class TestOpenBackend:
         assert backend.name == "sqlite"
         backend.close()
 
+    @staticmethod
+    def _assert_refused(location):
+        with pytest.raises(StoreError) as info:
+            open_backend(location)
+        message = str(info.value)
+        assert location in message
+        for form in ("sqlite://PATH", ":memory:", "memory://"):
+            assert form in message
+
+    def test_postgres_degrades_structurally(self):
+        # no Postgres backend ships: one StoreError naming the location
+        # and every accepted form, not an import failure
+        self._assert_refused("postgres://localhost/corpus")
+
+    def test_postgresql_scheme_also_recognized(self, tmp_path, monkeypatch):
+        # taken as a scheme, not as a relative SQLite path that happens
+        # to be openable here
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "postgresql:" / "localhost").mkdir(parents=True)
+        self._assert_refused("postgresql://localhost/corpus")
+        assert not (tmp_path / "postgresql:" / "localhost" / "corpus").exists()
+
     def test_unknown_scheme_names_the_accepted_forms(self):
-        for location in (
-            "postgres://localhost/corpus",
-            "postgresql://localhost/corpus",
-            "mysql://db",
-        ):
-            with pytest.raises(StoreError) as info:
-                open_backend(location)
-            message = str(info.value)
-            assert location in message
-            for form in ("sqlite://PATH", ":memory:", "memory://"):
-                assert form in message
+        for location in ("mysql://db", "s3://bucket/corpus.db"):
+            self._assert_refused(location)
 
 
 def test_backends_store_identical_rows(tmp_path):
