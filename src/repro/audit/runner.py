@@ -333,7 +333,8 @@ def _audit_document(
             )
             return DocumentReport.from_findings(path, findings)
         try:
-            raw = open(path, "rb").read()
+            with open(path, "rb") as handle:
+                raw = handle.read()
         except OSError as error:
             findings.append(
                 Finding.make(

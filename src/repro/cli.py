@@ -377,9 +377,11 @@ def _run_audit(args: argparse.Namespace) -> int:
     with ExitStack() as stack:
         store = None
         if getattr(args, "store", None):
-            from repro.store import CorpusStore
+            from repro.store import CorpusStore, open_existing_backend
 
-            store = stack.enter_context(CorpusStore.open(args.store))
+            store = stack.enter_context(
+                CorpusStore(open_existing_backend(args.store))
+            )
         options = AuditOptions(
             schema=schema,
             fds=tuple(fds),
@@ -555,14 +557,19 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _run_corpus(args: argparse.Namespace) -> int:
-    from repro.store import CorpusStore
+    from repro.store import CorpusStore, open_backend, open_existing_backend
 
     registry = None
     if getattr(args, "metrics", None):
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-    with CorpusStore.open(args.store) as store:
+    # only a load may create the store; the other actions need one
+    if args.corpus_action == "load":
+        backend = open_backend(args.store)
+    else:
+        backend = open_existing_backend(args.store)
+    with CorpusStore(backend) as store:
         if args.corpus_action == "load":
             report = store.load_paths(
                 args.paths,
@@ -741,9 +748,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy",
         choices=["auto", "lazy", "eager"],
         default="auto",
-        help="auto (default) picks per pair from the automaton shapes; "
-        "lazy forces the on-the-fly product exploration, eager the "
-        "materialized Proposition 3 construction",
+        help="auto (default) and lazy run the on-the-fly product "
+        "exploration; eager the materialized Proposition 3 construction",
     )
     independence.add_argument(
         "--show-witness",

@@ -26,11 +26,9 @@ Three strategies decide the same emptiness:
   the result records explored-vs-worst-case sizes;
 * ``strategy="eager"`` — materialize the full product (the Proposition
   3 construction measured by experiment T2), then run the fixpoint;
-* ``strategy="auto"`` (default) — resolve to one of the two per check
-  from the factor shapes (:mod:`repro.independence.strategy`): the T3
-  bench shows each fixed strategy losing on a known input family, so
-  the default picks per instance instead of assuming one regime.  The
-  result's ``strategy`` field reports the resolved choice.
+* ``strategy="auto"`` (default) — resolves to lazy
+  (:mod:`repro.independence.strategy`); the result's ``strategy`` field
+  reports the resolved choice.
 
 The check never looks at any source document — its cost depends only on
 ``|FD|``, ``|U|``, ``|A_S|`` and the alphabet, which is the efficiency
@@ -46,13 +44,7 @@ import time
 from repro.errors import IndependenceError
 from repro.fd.fd import FunctionalDependency
 from repro.independence.language import DangerousLanguage, dangerous_language
-from repro.independence.strategy import (
-    AUTO,
-    EAGER,
-    LAZY,
-    STRATEGIES,
-    StrategySelector,
-)
+from repro.independence.strategy import AUTO, EAGER, LAZY, STRATEGIES
 from repro.limits import Budget, BudgetExceeded, BudgetMeter, PartialStats
 from repro.obs.metrics import format_stats
 from repro.obs.trace import current_tracer
@@ -164,15 +156,6 @@ def _start_meter(budget: Budget | None) -> BudgetMeter | None:
     return None if budget is None or budget.unbounded else budget.start()
 
 
-def _alphabet_size(pattern, update_class, schema) -> int:
-    """Width of the shared global alphabet the factors are built over."""
-    alphabet = set(pattern.template.alphabet())
-    alphabet |= update_class.pattern.template.alphabet()
-    if schema is not None:
-        alphabet |= schema.alphabet()
-    return len(alphabet)
-
-
 def check_independence(
     fd: FunctionalDependency,
     update_class: UpdateClass,
@@ -223,16 +206,7 @@ def check_independence(
             )
         requested = strategy
         if strategy == AUTO:
-            strategy = StrategySelector().choose(
-                pattern_rules=len(language.fd_automaton.automaton.rules),
-                update_rules=len(language.update_automaton.automaton.rules),
-                schema_rules=(
-                    0
-                    if language.schema_automaton is None
-                    else len(language.schema_automaton.rules)
-                ),
-                alphabet_size=_alphabet_size(fd.pattern, update_class, schema),
-            )
+            strategy = LAZY
         try:
             if strategy == LAZY:
                 outcome = language.explore(

@@ -8,29 +8,40 @@
   rooted at the image of a condition/target node of that mapping.
 
 Proposition 2 shows ``L = ∅`` implies independence.  Following the
-Proposition 3 sketch, the automaton for ``L`` is assembled as:
+Proposition 3 sketch, the automaton for ``L`` is assembled from:
 
 1. ``A_FD`` — trace automaton of the FD pattern with region tracking,
    so "state ≠ BOT" characterizes trace-or-region membership;
 2. ``A_U`` — trace automaton of the update pattern, whose
    ``img(s_U, ·)`` states mark update-selected nodes;
-3. ``B`` — the *flagged product*: states ``(fd, u, flag)`` where the
+3. the *left factor* ``F``: ``A_FD`` itself, or ``A_S × A_FD`` when a
+   schema is given, with states ``(schema, fd)``;
+4. the *flagged product* ``F ⊗ A_U``: states ``(f, u, flag)`` where the
    flag records that the subtree contains the designated dangerous node.
    A node may *become* designated when its U-state is a selected image
-   and its FD-state is not ``BOT``; otherwise the flag is the
-   exactly-one-flagged-child disjunction.  ``B`` accepts at
-   ``(ACC, ACC, 1)``;
-4. ``A = A_S × B`` when a schema is given.
+   and the FD component of its ``F``-state is not ``BOT``; otherwise
+   the flag is the exactly-one-flagged-child disjunction.  It accepts
+   at ``(ACC, ACC, 1)``, or at ``((s, ACC), ACC, 1)`` for each
+   accepting schema state ``s``.
 
-The products exist in two regimes sharing one rule recipe
-(:func:`flagged_rules`): the *eager* construction materializes every
-rule pair (kept for the T2 size study), while the *lazy* pipeline
+Proposition 3 writes the schema case as ``A_S × (A_FD ⊗ A_U)``; the
+intersection reassociates, because the flag reads only the FD and U
+components, so both orders accept the same documents.  Taking the
+schema into the left factor lets a matrix explore ``A_S × A_FD`` once
+per row and decide each cell with one product level.
+
+The products exist in two regimes.  The *lazy* pipeline
 (:func:`explore_dangerous_factors`, built on
 :mod:`repro.tautomata.lazy`) generates product rules only for
 label-compatible pairs of individually fireable component rules and
-explores them with the worklist fixpoint — same verdicts, a fraction of
-the work.  :class:`DangerousLanguage` materializes its eager automata on
-first attribute access, so the lazy criterion never pays for them.
+explores them with the worklist fixpoint; it is the decision path.  The
+*eager* construction materializes every rule of Proposition 3's
+``A_S × B`` with ``B = A_FD ⊗ A_U`` literally — the T2 size study
+measures it, and the differential suites use it as an independent
+reference.  Both build their flagged rules with
+:func:`flagged_combines`.  :class:`DangerousLanguage` materializes its
+eager automata on first attribute access, so the lazy criterion never
+pays for them.
 
 As in the paper, the construction requires the update class to select a
 leaf of its template (otherwise the "the update trace survives the
@@ -56,19 +67,24 @@ from repro.obs.trace import NOOP_TRACER
 from repro.pattern.template import ROOT_POSITION, RegularTreePattern
 from repro.schema.automaton import schema_automaton
 from repro.schema.dtd import Schema
+from repro.tautomata.emptiness import (
+    build_witness_tree,
+    document_from_witness,
+)
 from repro.tautomata.from_pattern import ACC, PatternAutomaton, trace_automaton
-from repro.tautomata.hedge import HedgeAutomaton, Rule, State
+from repro.tautomata.hedge import (
+    HedgeAutomaton,
+    Rule,
+    State,
+    rule_structure_key,
+)
 from repro.tautomata.horizontal import (
     FlagOnceHorizontal,
     ProductHorizontal,
     ProjectedHorizontal,
 )
-from repro.tautomata.emptiness import (
-    build_witness_tree,
-    document_from_witness,
-)
-from repro.tautomata.hedge import rule_structure_key
 from repro.tautomata.lazy import (
+    Combine,
     ExplorationStats,
     FactorAnalysis,
     IncrementalProductSession,
@@ -76,32 +92,22 @@ from repro.tautomata.lazy import (
     analyze_factor,
     cached_factor,
     explore_product,
-    pair_combine,
+    memoized,
+    product_factor,
 )
 from repro.tautomata.ops import product_automaton
 from repro.update.update_class import UpdateClass
 from repro.xmlmodel.tree import XMLDocument
 
-#: the accepting state of the flagged product ``B``
+#: the accepting state of the flagged product without a schema
 DANGEROUS_ACCEPT: State = (ACC, ACC, 1)
 
-#: maximal flagged rules per (fd_rule, u_rule) pair (worst-case account)
+#: maximal flagged rules per (left rule, u rule) pair (worst-case account)
 FLAGGED_RULES_PER_PAIR = 3
 
-
-def _fd_component(symbol: State) -> State:
-    assert isinstance(symbol, tuple)
-    return symbol[0]
-
-
-def _u_component(symbol: State) -> State:
-    assert isinstance(symbol, tuple)
-    return symbol[1]
-
-
-def _flag_component(symbol: State) -> bool:
-    assert isinstance(symbol, tuple)
-    return bool(symbol[2])
+#: the flag coordinate of a flagged state: no flagged child, exactly one
+_NO_FLAGGED_CHILD = ProjectedHorizontal(FlagOnceHorizontal(0), 2)
+_ONE_FLAGGED_CHILD = ProjectedHorizontal(FlagOnceHorizontal(1), 2)
 
 
 def validate_update_class(update_class: UpdateClass) -> None:
@@ -118,60 +124,73 @@ def validate_update_class(update_class: UpdateClass) -> None:
         )
 
 
-def flagged_rules(
-    fd_rule: Rule,
-    u_rule: Rule,
-    selected_images: frozenset[State],
-    bot: State,
-) -> Iterator[Rule]:
-    """The 2-3 flagged product rules of one (fd, u) rule pair.
+def _flagged_rule(
+    left_rule: Rule, u_rule: Rule, labels, flag: int, flag_language
+) -> Rule:
+    return Rule(
+        state=(left_rule.state, u_rule.state, flag),
+        labels=labels,
+        horizontal=ProductHorizontal(
+            [
+                ProjectedHorizontal(left_rule.horizontal, 0),
+                ProjectedHorizontal(u_rule.horizontal, 1),
+                flag_language,
+            ]
+        ),
+    )
 
-    Shared by the eager :func:`_flagged_product` and the lazy
-    exploration, so both regimes decide the same language rule for rule.
+
+def flagged_combines(
+    fd_automaton: PatternAutomaton,
+    update_automaton: PatternAutomaton,
+    with_schema: bool = False,
+) -> tuple[Combine, Combine]:
+    """The flagged product rules of a (left rule, u rule) pair, split in two.
+
+    The first combine yields the rules that read no flagged child: flag
+    0 (no designated node below) and, when the pair designates, flag 1
+    by designation — the node is update-selected and on the FD trace or
+    inside a selected-subtree region.  The second yields the flag 1 rule
+    "via exactly one flagged child".  The left rule is an ``A_FD`` rule,
+    or with ``with_schema`` an ``A_S × A_FD`` rule, whose state's FD
+    component is the second coordinate.  A flagged child exists only
+    below a designation, which is what lets the lazy exploration defer
+    the second combine.
     """
-    labels = fd_rule.labels.intersect(u_rule.labels)
-    if labels.is_empty():
-        return
-    base = [
-        ProjectedHorizontal(fd_rule.horizontal, _fd_component),
-        ProjectedHorizontal(u_rule.horizontal, _u_component),
-    ]
-    # flag 0: no designated node below
-    yield Rule(
-        state=(fd_rule.state, u_rule.state, 0),
-        labels=labels,
-        horizontal=ProductHorizontal(
-            base + [FlagOnceHorizontal(0, _flag_component)]
-        ),
-    )
-    # flag 1 via exactly one flagged child
-    yield Rule(
-        state=(fd_rule.state, u_rule.state, 1),
-        labels=labels,
-        horizontal=ProductHorizontal(
-            base + [FlagOnceHorizontal(1, _flag_component)]
-        ),
-    )
-    # flag 1 by designation: this node is update-selected and on
-    # the FD trace or inside a selected-subtree region
-    if u_rule.state in selected_images and fd_rule.state != bot:
-        yield Rule(
-            state=(fd_rule.state, u_rule.state, 1),
-            labels=labels,
-            horizontal=ProductHorizontal(
-                base + [FlagOnceHorizontal(0, _flag_component)]
-            ),
-        )
-
-
-def _flagged_combine(
-    fd_automaton: PatternAutomaton, update_automaton: PatternAutomaton
-):
     selected_images = update_automaton.selected_image_states
     bot = fd_automaton.bot_state
 
-    def combine(fd_rule: Rule, u_rule: Rule) -> Iterator[Rule]:
-        return flagged_rules(fd_rule, u_rule, selected_images, bot)
+    def unflagged_children(left_rule: Rule, u_rule: Rule) -> Iterator[Rule]:
+        labels = left_rule.labels.intersect(u_rule.labels)
+        if labels.is_empty():
+            return
+        yield _flagged_rule(left_rule, u_rule, labels, 0, _NO_FLAGGED_CHILD)
+        fd_state = left_rule.state[1] if with_schema else left_rule.state
+        if u_rule.state in selected_images and fd_state != bot:
+            yield _flagged_rule(
+                left_rule, u_rule, labels, 1, _NO_FLAGGED_CHILD
+            )
+
+    def one_flagged_child(left_rule: Rule, u_rule: Rule) -> Iterator[Rule]:
+        labels = left_rule.labels.intersect(u_rule.labels)
+        if not labels.is_empty():
+            yield _flagged_rule(
+                left_rule, u_rule, labels, 1, _ONE_FLAGGED_CHILD
+            )
+
+    return unflagged_children, one_flagged_child
+
+
+def _all_flagged_rules(
+    fd_automaton: PatternAutomaton,
+    update_automaton: PatternAutomaton,
+    with_schema: bool = False,
+) -> Combine:
+    first, second = flagged_combines(fd_automaton, update_automaton, with_schema)
+
+    def combine(left_rule: Rule, u_rule: Rule) -> Iterator[Rule]:
+        yield from first(left_rule, u_rule)
+        yield from second(left_rule, u_rule)
 
     return combine
 
@@ -179,8 +198,8 @@ def _flagged_combine(
 def _flagged_product(
     fd_automaton: PatternAutomaton, update_automaton: PatternAutomaton
 ) -> HedgeAutomaton:
-    """The automaton ``B`` for condition (ii) of Definition 6 (eager)."""
-    combine = _flagged_combine(fd_automaton, update_automaton)
+    """The automaton ``B = A_FD ⊗ A_U`` of Definition 6 (eager)."""
+    combine = _all_flagged_rules(fd_automaton, update_automaton)
     rules: list[Rule] = []
     for fd_rule in fd_automaton.automaton.rules:
         for u_rule in update_automaton.automaton.rules:
@@ -190,6 +209,19 @@ def _flagged_product(
         accepting=[DANGEROUS_ACCEPT],
         name="B",
     )
+
+
+def eager_automaton(
+    pattern_automaton: PatternAutomaton,
+    update_automaton: PatternAutomaton,
+    schema_hedge: HedgeAutomaton | None = None,
+) -> HedgeAutomaton:
+    """Proposition 3's automaton for ``L``, materialized: ``B``, or
+    ``A_S × B`` under a schema."""
+    flagged = _flagged_product(pattern_automaton, update_automaton)
+    if schema_hedge is None:
+        return flagged
+    return product_automaton(schema_hedge, flagged, name="A_S×B")
 
 
 def dangerous_factors(
@@ -338,6 +370,94 @@ class DangerousExploration:
     stats: ExplorationStats
 
 
+def _dangerous_accepting(schema_hedge: HedgeAutomaton | None) -> list[State]:
+    """The accepting states of the flagged product (one per schema root)."""
+    if schema_hedge is None:
+        return [DANGEROUS_ACCEPT]
+    return [
+        ((schema_state, ACC), ACC, 1)
+        for schema_state in sorted(schema_hedge.accepting, key=repr)
+    ]
+
+
+def _flagged_state(state: State) -> bool:
+    return state[2] == 1
+
+
+def row_factor(
+    pattern_automaton: PatternAutomaton,
+    schema_hedge: HedgeAutomaton | None = None,
+    factor_cache: dict | None = None,
+    meter: BudgetMeter | None = None,
+    tracer=None,
+) -> FactorAnalysis:
+    """The left factor of every cell in an FD's row.
+
+    ``A_FD``'s factor fixpoint without a schema.  Under a schema, the
+    product ``A_S × A_FD`` explored with its rules tracked, so a cell
+    pairs only the product rules that fired with ``A_U``.  It is cached
+    in ``factor_cache`` under the two automaton objects, as
+    :func:`~repro.tautomata.lazy.cached_factor` caches a factor: a hit
+    charges nothing, and a build the meter stops leaves no entry.
+
+    The build is shared work, so it is metered by a fork of ``meter``
+    (:meth:`~repro.limits.BudgetMeter.fork`): the same caps on counts of
+    its own, and the same deadline.  Charged to the meter of whichever
+    cell happened to build it, it would push that cell across a cap
+    that its row's other cells stay under, and a budgeted verdict would
+    depend on the order cells ran in — which a resumed, drifted or
+    permuted matrix changes.
+    """
+    if tracer is None:
+        tracer = NOOP_TRACER
+    fd_hedge = pattern_automaton.automaton
+    if schema_hedge is None:
+        return cached_factor(
+            fd_hedge, typed=True, cache=factor_cache, meter=meter,
+            tracer=tracer,
+        )
+
+    def build() -> FactorAnalysis:
+        shared = None if meter is None else meter.fork()
+        schema_factor = cached_factor(
+            schema_hedge, typed=True, cache=factor_cache, meter=shared,
+            tracer=tracer,
+        )
+        fd_factor = cached_factor(
+            fd_hedge, typed=True, cache=factor_cache, meter=shared,
+            tracer=tracer,
+        )
+        with tracer.span("ic.row_factor") as span:
+            factor = product_factor(
+                schema_factor, fd_factor, meter=shared, tracer=tracer
+            )
+            if span.enabled:
+                span.set_attribute("fireable_rules", len(factor.fireable))
+                span.set_attribute("worst_case_rules", factor.rule_count)
+        return factor
+
+    return memoized(factor_cache, (schema_hedge, fd_hedge), build, tracer)
+
+
+def _outcome(
+    firings: dict,
+    accepting: list[State],
+    want_witness: bool,
+    stats: ExplorationStats,
+    tracer,
+) -> DangerousExploration:
+    inhabited = [state for state in accepting if state in firings]
+    witness = None
+    if want_witness and inhabited:
+        with tracer.span("ic.witness"):
+            witness = document_from_witness(
+                build_witness_tree(firings, inhabited[0])
+            )
+    return DangerousExploration(
+        empty=not inhabited, witness=witness, stats=stats
+    )
+
+
 def explore_dangerous_factors(
     pattern_automaton: PatternAutomaton,
     update_automaton: PatternAutomaton,
@@ -349,124 +469,98 @@ def explore_dangerous_factors(
 ) -> DangerousExploration:
     """On-the-fly emptiness of ``L`` from its factors.
 
-    Runs the flagged product ``B`` lazily; under a schema the fired
-    ``B`` rules become the right factor of a second lazy product with
-    ``A_S``.  ``factor_cache`` (keyed per factor automaton) lets batch
-    drivers share the per-factor fixpoints across many (FD, U) cells.
-    A ``meter`` spans the whole exploration (factor fixpoints and both
-    product levels), so the caps bound the total work of the verdict;
-    :class:`~repro.limits.BudgetExceeded` propagates to the caller.
-    A ``tracer`` (the no-op default when omitted) wraps each factor
-    fixpoint and product level in its own span.
+    One lazy flagged product decides the cell: the :func:`row_factor`
+    (``A_FD``, or ``A_S × A_FD`` under a schema) against ``A_U``'s
+    factor.  The flag 1 "via one flagged child" rules join only once a
+    designation has fired; before that no flagged child exists, so they
+    could not fire and the fixpoint is the same without them.
+    ``factor_cache`` lets batch drivers share the factor fixpoints and
+    the row factor across many (FD, U) cells.  A ``meter`` spans the
+    whole exploration (the factor work it is charged for and the cell
+    product), so the caps bound the total work of the verdict;
+    :class:`~repro.limits.BudgetExceeded` propagates to the caller.  A
+    ``tracer`` (the no-op default when omitted) wraps each factor
+    fixpoint, the row factor and the cell product in its own span.
     """
     if tracer is None:
         tracer = NOOP_TRACER
-    fd_factor = cached_factor(
-        pattern_automaton.automaton, typed=True, cache=factor_cache,
-        meter=meter, tracer=tracer,
+    with_schema = schema_hedge is not None
+    left = row_factor(
+        pattern_automaton, schema_hedge, factor_cache, meter, tracer
     )
     u_factor = cached_factor(
         update_automaton.automaton, typed=True, cache=factor_cache,
         meter=meter, tracer=tracer,
     )
-    combine = _flagged_combine(pattern_automaton, update_automaton)
-    with_schema = schema_hedge is not None
+    unflagged, one_flagged = flagged_combines(
+        pattern_automaton, update_automaton, with_schema
+    )
     with tracer.span("ic.flagged_product") as span:
-        flagged = explore_product(
-            fd_factor,
+        cell = explore_product(
+            left,
             u_factor,
-            combine=combine,
-            typed=True,
-            want_witness=want_witness and not with_schema,
-            track_rules=with_schema,
-            rules_per_pair=FLAGGED_RULES_PER_PAIR,
-            meter=meter,
-            tracer=tracer,
-        )
-        if span.enabled:
-            span.set_attribute("explored_rules", flagged.stats.explored_rules)
-            span.set_attribute(
-                "worst_case_rules", flagged.stats.worst_case_rules
-            )
-    if not with_schema:
-        empty = DANGEROUS_ACCEPT not in flagged.engine.firings
-        witness = None
-        if want_witness and not empty:
-            with tracer.span("ic.witness"):
-                witness = document_from_witness(
-                    build_witness_tree(
-                        flagged.engine.firings, DANGEROUS_ACCEPT
-                    )
-                )
-        return DangerousExploration(
-            empty=empty, witness=witness, stats=flagged.stats
-        )
-
-    schema_factor = cached_factor(
-        schema_hedge, typed=True, cache=factor_cache, meter=meter,
-        tracer=tracer,
-    )
-    flagged_fired = flagged.fired_rules()
-    flagged_factor = FactorAnalysis(
-        inhabited=flagged.inhabited,
-        fireable=flagged_fired,
-        index=RuleIndex(flagged_fired),
-        rule_count=flagged.stats.worst_case_rules,
-    )
-    with tracer.span("ic.schema_product") as span:
-        final = explore_product(
-            schema_factor,
-            flagged_factor,
-            combine=pair_combine,
+            combine=unflagged,
             typed=True,
             want_witness=want_witness,
+            rules_per_pair=FLAGGED_RULES_PER_PAIR,
+            deferred=(one_flagged, _flagged_state),
             meter=meter,
             tracer=tracer,
         )
         if span.enabled:
-            span.set_attribute("explored_rules", final.stats.explored_rules)
-            span.set_attribute("worst_case_rules", final.stats.worst_case_rules)
-    accepting = [
-        (schema_state, DANGEROUS_ACCEPT)
-        for schema_state in sorted(schema_hedge.accepting, key=repr)
-    ]
-    inhabited_accepting = [
-        state for state in accepting if state in final.engine.firings
-    ]
-    empty = not inhabited_accepting
-    witness = None
-    if want_witness and not empty:
-        with tracer.span("ic.witness"):
-            witness = document_from_witness(
-                build_witness_tree(
-                    final.engine.firings, inhabited_accepting[0]
-                )
-            )
-    return DangerousExploration(
-        empty=empty, witness=witness, stats=flagged.stats.merge(final.stats)
+            span.set_attribute("explored_rules", cell.stats.explored_rules)
+            span.set_attribute("worst_case_rules", cell.stats.worst_case_rules)
+    return _outcome(
+        cell.engine.firings,
+        _dangerous_accepting(schema_hedge),
+        want_witness,
+        cell.stats,
+        tracer,
     )
+
+
+def _structural_delta(
+    old_rules: tuple[Rule, ...], new_rules: tuple[Rule, ...]
+) -> tuple[list[Rule], list[Rule]]:
+    """``(removed, added)``: old and new rules paired by structure."""
+    old_groups: dict[object, list[Rule]] = {}
+    for rule in old_rules:
+        old_groups.setdefault(rule_structure_key(rule), []).append(rule)
+    new_groups: dict[object, list[Rule]] = {}
+    for rule in new_rules:
+        new_groups.setdefault(rule_structure_key(rule), []).append(rule)
+    removed: list[Rule] = []
+    added: list[Rule] = []
+    for key, old_list in old_groups.items():
+        removed.extend(old_list[len(new_groups.get(key, ())):])
+    for key, new_list in new_groups.items():
+        added.extend(new_list[len(old_groups.get(key, ())):])
+    return removed, added
 
 
 class IncrementalDangerousSession:
     """Emptiness of ``L`` for one fixed (update class, schema), re-solved
     across FD-pattern edits from the surviving exploration.
 
-    The cold path (:func:`explore_dangerous_factors`) rebuilds both
-    product levels per check.  A session keeps the incremental product
-    engines alive: :meth:`recheck` fixpoints only the *new* FD factor
-    (cheap), pairs its rules against the old ones with
+    The session keeps the pipeline's product order with both levels
+    alive as incremental engines: under a schema, level 1 is
+    ``A_S × A_FD`` (tracked rules), and level 2 is the flagged product
+    of its fired rules with ``A_U``; without one, level 2 pairs ``A_FD``
+    with ``A_U`` directly.  :meth:`recheck` fixpoints only the *new* FD
+    factor (cheap), pairs its rules against the old ones with
     :func:`~repro.tautomata.hedge.rule_structure_key` — a small edit
     leaves most trace-automaton rules structurally identical — and
-    feeds just the delta through
-    :meth:`~repro.tautomata.lazy.IncrementalProductSession.apply_delta`,
-    so both the flagged product and the schema product re-solve from
-    their surviving frontiers (the schema-level delta is the identity
-    diff of the flagged engine's fired product rules, which survive
-    retraction as the same objects).  Verdicts are always identical to
-    a cold run on the current inputs; witnesses are valid members of
-    ``L`` but may differ from the cold run's choice (discovery order),
-    which is why the matrix drift path recomputes witness-bearing cells
-    cold and sessions serve long-lived in-process re-checks.
+    feeds just that FD-side delta through
+    :meth:`~repro.tautomata.lazy.IncrementalProductSession.apply_delta`
+    of the first level.  Level 2's delta is the identity diff of level
+    1's fired product rules, which survive retraction as the same
+    objects.  Level 2 adds every flagged rule up front (the deferral of
+    the cold path does not survive retraction).  Verdicts are always
+    identical to a cold run on the current inputs; witnesses are valid
+    members of ``L`` but may differ from the cold run's choice
+    (discovery order), which is why the matrix drift path recomputes
+    witness-bearing cells cold and sessions serve long-lived in-process
+    re-checks.
     """
 
     def __init__(
@@ -485,50 +579,48 @@ class IncrementalDangerousSession:
         self.want_witness = want_witness
         self.pattern_automaton = pattern_automaton
         self._meter = meter
-        self._with_schema = schema_hedge is not None
-        self._u_factor = cached_factor(
+        self._accepting = _dangerous_accepting(schema_hedge)
+        u_factor = cached_factor(
             update_automaton.automaton, typed=True, cache=factor_cache,
             meter=meter, tracer=self.tracer,
         )
-        fd_factor = analyze_factor(
+        left = analyze_factor(
             pattern_automaton.automaton, typed=True, meter=meter,
             tracer=self.tracer,
         )
+        self._row: IncrementalProductSession | None = None
+        if schema_hedge is not None:
+            self._row = IncrementalProductSession(
+                cached_factor(
+                    schema_hedge, typed=True, cache=factor_cache,
+                    meter=meter, tracer=self.tracer,
+                ),
+                left,
+                track_rules=True,
+                meter=meter,
+                tracer=self.tracer,
+            )
+            fired = self._row.fired_rules()
+            left = FactorAnalysis(
+                inhabited=self._row.inhabited,
+                fireable=fired,
+                index=RuleIndex(fired),
+                rule_count=self._row.stats().worst_case_rules,
+            )
+        self._last_fired = left.fireable
         # BOT and the selected images are stable across FD rebuilds (the
         # update automaton is fixed; BOT is a module sentinel), so one
-        # combine closure serves the whole session
-        combine = _flagged_combine(pattern_automaton, update_automaton)
-        self._flagged = IncrementalProductSession(
-            fd_factor,
-            self._u_factor,
-            combine=combine,
-            typed=True,
-            track_rules=self._with_schema,
+        # combine serves the whole session
+        self._cell = IncrementalProductSession(
+            left,
+            u_factor,
+            combine=_all_flagged_rules(
+                pattern_automaton, update_automaton, schema_hedge is not None
+            ),
             rules_per_pair=FLAGGED_RULES_PER_PAIR,
             meter=meter,
             tracer=self.tracer,
         )
-        self._final: IncrementalProductSession | None = None
-        self._last_fired: tuple[Rule, ...] = ()
-        if self._with_schema:
-            schema_factor = cached_factor(
-                schema_hedge, typed=True, cache=factor_cache, meter=meter,
-                tracer=self.tracer,
-            )
-            self._last_fired = self._flagged.fired_rules()
-            self._final = IncrementalProductSession(
-                schema_factor,
-                FactorAnalysis(
-                    inhabited=self._flagged.inhabited,
-                    fireable=self._last_fired,
-                    index=RuleIndex(self._last_fired),
-                    rule_count=self._flagged.stats().worst_case_rules,
-                ),
-                combine=pair_combine,
-                typed=True,
-                meter=meter,
-                tracer=self.tracer,
-            )
 
     def recheck(
         self, pattern_automaton: PatternAutomaton
@@ -538,69 +630,48 @@ class IncrementalDangerousSession:
             pattern_automaton.automaton, typed=True, meter=self._meter,
             tracer=self.tracer,
         )
-        old_groups: dict[object, list[Rule]] = {}
-        for rule in self._flagged.left_rules():
-            old_groups.setdefault(rule_structure_key(rule), []).append(rule)
-        new_groups: dict[object, list[Rule]] = {}
-        for rule in new_factor.fireable:
-            new_groups.setdefault(rule_structure_key(rule), []).append(rule)
-        removed: list[Rule] = []
-        added: list[Rule] = []
-        for key, old_list in old_groups.items():
-            removed.extend(old_list[len(new_groups.get(key, ())):])
-        for key, new_list in new_groups.items():
-            added.extend(new_list[len(old_groups.get(key, ())):])
-        self._flagged.apply_delta(
-            removed_left=removed,
-            added_left=added,
-            left_rule_count=new_factor.rule_count,
-        )
         self.pattern_automaton = pattern_automaton
-        if self._final is not None:
-            new_fired = self._flagged.fired_rules()
-            new_ids = {id(rule) for rule in new_fired}
-            last_ids = {id(rule) for rule in self._last_fired}
-            self._final.apply_delta(
-                removed_right=[
-                    rule
-                    for rule in self._last_fired
-                    if id(rule) not in new_ids
-                ],
-                added_right=[
-                    rule for rule in new_fired if id(rule) not in last_ids
-                ],
-                right_rule_count=self._flagged.stats().worst_case_rules,
+        if self._row is None:
+            removed, added = _structural_delta(
+                self._cell.left_rules(), new_factor.fireable
             )
-            self._last_fired = new_fired
+            self._cell.apply_delta(
+                removed_left=removed,
+                added_left=added,
+                left_rule_count=new_factor.rule_count,
+            )
+            return self.solution()
+        removed, added = _structural_delta(
+            self._row.right_rules(), new_factor.fireable
+        )
+        self._row.apply_delta(
+            removed_right=removed,
+            added_right=added,
+            right_rule_count=new_factor.rule_count,
+        )
+        fired = self._row.fired_rules()
+        fired_ids = {id(rule) for rule in fired}
+        last_ids = {id(rule) for rule in self._last_fired}
+        self._cell.apply_delta(
+            removed_left=[
+                rule for rule in self._last_fired if id(rule) not in fired_ids
+            ],
+            added_left=[rule for rule in fired if id(rule) not in last_ids],
+            left_rule_count=self._row.stats().worst_case_rules,
+        )
+        self._last_fired = fired
         return self.solution()
 
     def solution(self) -> DangerousExploration:
-        """The current emptiness verdict (engines are at fixpoint)."""
-        if self._final is None:
-            firings = self._flagged.engine.firings
-            empty = DANGEROUS_ACCEPT not in firings
-            accept: State = DANGEROUS_ACCEPT
-            stats = self._flagged.stats()
-        else:
-            firings = self._final.engine.firings
-            accepting = [
-                (schema_state, DANGEROUS_ACCEPT)
-                for schema_state in sorted(
-                    self.schema_hedge.accepting, key=repr
-                )
-            ]
-            inhabited_accepting = [
-                state for state in accepting if state in firings
-            ]
-            empty = not inhabited_accepting
-            accept = inhabited_accepting[0] if inhabited_accepting else None
-            stats = self._flagged.stats().merge(self._final.stats())
-        witness = None
-        if self.want_witness and not empty:
-            # incremental engines always record parents, so firing
-            # words — and from them a witness — are available
-            with self.tracer.span("ic.witness"):
-                witness = document_from_witness(
-                    build_witness_tree(firings, accept)
-                )
-        return DangerousExploration(empty=empty, witness=witness, stats=stats)
+        """The current emptiness verdict (engines are at fixpoint).
+
+        Incremental engines always record parents, so firing words — and
+        from them a witness — are available.
+        """
+        return _outcome(
+            self._cell.engine.firings,
+            self._accepting,
+            self.want_witness,
+            self._cell.stats(),
+            self.tracer,
+        )

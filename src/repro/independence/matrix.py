@@ -71,16 +71,11 @@ from repro.fd.fd import FunctionalDependency
 from repro.independence import pool
 from repro.independence.criterion import LAZY, Verdict
 from repro.independence.language import (
-    _flagged_product,
+    eager_automaton,
     explore_dangerous_factors,
     validate_update_class,
 )
-from repro.independence.strategy import (
-    AUTO,
-    EAGER,
-    STRATEGIES,
-    StrategySelector,
-)
+from repro.independence.strategy import AUTO, EAGER, STRATEGIES
 from repro.limits import Budget, BudgetExceeded, PartialStats
 from repro.obs.trace import NOOP_TRACER, current_tracer
 from repro.pattern.template import RegularTreePattern
@@ -88,7 +83,6 @@ from repro.schema.dtd import Schema
 from repro.tautomata.emptiness import automaton_is_empty_typed, witness_document
 from repro.tautomata.from_pattern import trace_automaton
 from repro.tautomata.lazy import ExplorationStats
-from repro.tautomata.ops import product_automaton
 from repro.update.update_class import UpdateClass
 from repro.xmlmodel.tree import ROOT_LABEL, XMLDocument, XMLNode
 
@@ -456,12 +450,10 @@ def _explore_rows(
     serial path) or by :func:`repro.independence.pool.resolve_context`
     (pool workers), never per chunk.
 
-    ``strategy="auto"`` resolves per cell through one
-    :class:`StrategySelector` scoped to this call: the static shape
-    model decides the first cells, and each completed lazy cell's
-    exploration stats refine the explored-fraction estimate for the
-    rest.  The selector is deterministic, so repeating the call repeats
-    its choices exactly.
+    ``strategy="auto"`` resolves to lazy.  Under a schema, the lazy
+    cells of a row share one ``A_S × A_FD`` row factor through the
+    factor cache: the row's first cell builds it, and the rest decide
+    with one flagged product each.
 
     Each cell gets a *fresh* meter from ``budget``, so the caps bound
     cells individually; a budget-exhausted cell becomes UNKNOWN with
@@ -488,8 +480,7 @@ def _explore_rows(
     update_automata = shared.update_automata
     schema_hedge = shared.schema_hedge
     factor_cache = shared.factor_cache
-    schema_rules = 0 if schema_hedge is None else len(schema_hedge.rules)
-    selector = StrategySelector() if strategy == AUTO else None
+    cell_strategy = LAZY if strategy == AUTO else strategy
     rows: list[list[MatrixCell | None]] = []
     for local_row, pattern in enumerate(patterns):
         with tracer.span("construct.trace_automaton"):
@@ -507,14 +498,6 @@ def _explore_rows(
             if per_cell_delay:
                 time.sleep(per_cell_delay)
             with tracer.span("matrix.cell") as cell_span:
-                cell_strategy = strategy
-                if selector is not None:
-                    cell_strategy = selector.choose(
-                        pattern_rules=len(pattern_automaton.automaton.rules),
-                        update_rules=len(update_automaton.automaton.rules),
-                        schema_rules=schema_rules,
-                        alphabet_size=len(shared.alphabet),
-                    )
                 started = time.perf_counter()
                 meter = (
                     None
@@ -541,15 +524,8 @@ def _explore_rows(
                     else:
                         if meter is not None:
                             meter.check_deadline()
-                        flagged = _flagged_product(
-                            pattern_automaton, update_automaton
-                        )
-                        automaton = (
-                            flagged
-                            if schema_hedge is None
-                            else product_automaton(
-                                schema_hedge, flagged, name="A_S×B"
-                            )
+                        automaton = eager_automaton(
+                            pattern_automaton, update_automaton, schema_hedge
                         )
                         if meter is not None:
                             meter.check_deadline()
@@ -570,8 +546,6 @@ def _explore_rows(
                     partial = signal.partial
                     witness = None
                     exploration = None
-                if selector is not None and exploration is not None:
-                    selector.observe(exploration)
                 cell = MatrixCell(
                     row=row_offset + local_row,
                     column=column,

@@ -33,11 +33,11 @@ import time
 from repro.errors import IndependenceError
 from repro.independence.criterion import EAGER, LAZY, Verdict
 from repro.independence.language import (
-    _flagged_product,
     dangerous_factors,
+    eager_automaton,
     explore_dangerous_factors,
 )
-from repro.independence.strategy import AUTO, STRATEGIES, StrategySelector
+from repro.independence.strategy import AUTO, STRATEGIES
 from repro.limits import Budget, BudgetExceeded, PartialStats
 from repro.obs.metrics import format_stats
 from repro.obs.trace import current_tracer
@@ -49,7 +49,6 @@ from repro.tautomata.emptiness import (
 )
 from repro.tautomata.hedge import HedgeAutomaton
 from repro.tautomata.lazy import ExplorationStats
-from repro.tautomata.ops import product_automaton
 from repro.update.update_class import UpdateClass
 from repro.xmlmodel.tree import XMLDocument
 
@@ -116,13 +115,9 @@ def view_dangerous_language(
     schema: Schema | None = None,
 ) -> HedgeAutomaton:
     """The automaton recognizing the view variant of the language ``L``."""
-    view_automaton, update_automaton, schema_hedge = dangerous_factors(
-        view, update_class, schema, pattern_name="A_V"
+    return eager_automaton(
+        *dangerous_factors(view, update_class, schema, pattern_name="A_V")
     )
-    flagged = _flagged_product(view_automaton, update_automaton)
-    if schema_hedge is None:
-        return flagged
-    return product_automaton(schema_hedge, flagged, name="A_S×B")
 
 
 def check_view_independence(
@@ -165,18 +160,7 @@ def check_view_independence(
             )
         requested = strategy
         if strategy == AUTO:
-            alphabet = set(view.template.alphabet())
-            alphabet |= update_class.pattern.template.alphabet()
-            if schema is not None:
-                alphabet |= schema.alphabet()
-            strategy = StrategySelector().choose(
-                pattern_rules=len(view_automaton.automaton.rules),
-                update_rules=len(update_automaton.automaton.rules),
-                schema_rules=(
-                    0 if schema_hedge is None else len(schema_hedge.rules)
-                ),
-                alphabet_size=len(alphabet),
-            )
+            strategy = LAZY
         try:
             if strategy == LAZY:
                 outcome = explore_dangerous_factors(
@@ -195,15 +179,9 @@ def check_view_independence(
                 if meter is not None:
                     meter.check_deadline()
                 with tracer.span("ic.eager_product"):
-                    flagged = _flagged_product(
-                        view_automaton, update_automaton
+                    automaton = eager_automaton(
+                        view_automaton, update_automaton, schema_hedge
                     )
-                    if schema_hedge is None:
-                        automaton = flagged
-                    else:
-                        automaton = product_automaton(
-                            schema_hedge, flagged, name="A_S×B"
-                        )
                 if meter is not None:
                     meter.check_deadline()
                 with tracer.span("ic.eager_emptiness"):

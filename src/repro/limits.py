@@ -103,8 +103,10 @@ class Budget:
         wall-clock allowance in milliseconds, measured from
         :meth:`start`;
     ``max_explored_states``
-        cap on states proved inhabited across the whole analysis (all
-        product levels and factor fixpoints combined);
+        cap on states proved inhabited across the whole analysis (its
+        product level and factor fixpoints combined; a matrix row's
+        shared factor is capped on its own, see
+        :meth:`BudgetMeter.fork`);
     ``max_explored_rules``
         cap on rules instantiated/registered across the analysis.
 
@@ -380,8 +382,9 @@ class BudgetMeter:
 
     One meter spans one logical analysis: several
     :class:`~repro.tautomata.worklist.InhabitationEngine` instances
-    (factor fixpoints, product levels) share it so the caps bound the
-    *total* work of the verdict, not each phase separately.
+    (factor fixpoints, the product level) share it so the caps bound
+    the *total* work of the verdict, not each phase separately.  Work a
+    verdict shares with others runs on a :meth:`fork`.
     """
 
     __slots__ = ("budget", "states", "rules", "step_attempts", "_deadline", "_ticks")
@@ -397,6 +400,17 @@ class BudgetMeter:
             else time.monotonic() + budget.deadline_ms / 1000.0
         )
         self._ticks = 0
+
+    def fork(self) -> "BudgetMeter":
+        """A meter with counts of its own and this meter's deadline.
+
+        Shared work (a matrix row's factor) is capped like any phase
+        without charging the verdict that happened to build it, while
+        the verdict's wall clock stays one.
+        """
+        forked = BudgetMeter(self.budget)
+        forked._deadline = self._deadline
+        return forked
 
     # ------------------------------------------------------------------
     # charging

@@ -12,7 +12,11 @@ The package splits into four layers:
   load / check-FD / guarded-apply operations.
 """
 
-from repro.store.backend import StorageBackend, open_backend
+from repro.store.backend import (
+    StorageBackend,
+    open_backend,
+    open_existing_backend,
+)
 from repro.store.corpus import (
     CorpusApplyReport,
     CorpusCheckReport,
@@ -47,5 +51,6 @@ __all__ = [
     "encode_document",
     "fingerprint_fd",
     "open_backend",
+    "open_existing_backend",
     "open_corpus",
 ]

@@ -24,11 +24,14 @@ Backends resolve from a location string::
     "corpus.db" / "sqlite://corpus.db"   stdlib sqlite3, WAL mode
 
 Any other ``scheme://`` location is a :class:`~repro.errors.StoreError`
-naming these forms.
+naming these forms.  :func:`open_backend` creates a missing SQLite file;
+:func:`open_existing_backend`, for the commands that only read or
+update a store, refuses it.
 """
 
 from __future__ import annotations
 
+import os
 import re
 
 from repro.errors import StoreError
@@ -143,14 +146,12 @@ class StorageBackend:
         return doc_name
 
 
-def open_backend(location: str) -> StorageBackend:
-    """Resolve a location string to a live backend (see module doc)."""
+def _sqlite_path(location: str) -> str | None:
+    """The SQLite database path a location names (``None``: in memory)."""
     if not isinstance(location, str) or not location:
         raise StoreError(f"not a storage location: {location!r}")
     if location == ":memory:" or location.startswith("memory://"):
-        from repro.store.memory import MemoryBackend
-
-        return MemoryBackend()
+        return None
     if location.startswith("sqlite://"):
         location = location[len("sqlite://") :]
         if not location:
@@ -160,6 +161,33 @@ def open_backend(location: str) -> StorageBackend:
             f"unsupported storage location {location!r}: use a sqlite "
             f"database path, 'sqlite://PATH', ':memory:' or 'memory://'"
         )
+    return location
+
+
+def open_backend(location: str) -> StorageBackend:
+    """Resolve a location string to a live backend (see module doc).
+
+    A SQLite path that names no file yet gets a new, empty store.
+    """
+    path = _sqlite_path(location)
+    if path is None:
+        from repro.store.memory import MemoryBackend
+
+        return MemoryBackend()
     from repro.store.sqlite import SqliteBackend
 
-    return SqliteBackend(location)
+    return SqliteBackend(path)
+
+
+def open_existing_backend(location: str) -> StorageBackend:
+    """:func:`open_backend` for commands that read or update a store.
+
+    A SQLite path that names no file is refused, with nothing created:
+    a typo must not pass for an empty corpus.
+    """
+    path = _sqlite_path(location)
+    if path is not None and not os.path.exists(path):
+        raise StoreError(
+            f"no corpus store at {path}; 'repro-xml corpus load' creates one"
+        )
+    return open_backend(location)

@@ -397,7 +397,8 @@ class CorpusStore:
                 if _per_document_delay_seconds:
                     time.sleep(_per_document_delay_seconds)
                 try:
-                    raw = open(path, "rb").read()
+                    with open(path, "rb") as handle:
+                        raw = handle.read()
                 except OSError as error:
                     report.errors += 1
                     report.findings.append(
@@ -527,6 +528,10 @@ class CorpusStore:
                         # UNKNOWN re-attempted on resume, like matrix cells
                         if check is not None and check.status != UNKNOWN:
                             restored[record["row"]] = check
+            # index states are staged and committed a load chunk at a
+            # time, on every path out of the loop
+            in_chunk = 0
+            self.backend.begin_chunk()
             try:
                 for index, name in enumerate(names):
                     prior = restored.get(index)
@@ -541,6 +546,11 @@ class CorpusStore:
                         max_violations=max_violations,
                         use_index=use_index,
                     )
+                    in_chunk += 1
+                    if in_chunk >= DEFAULT_CHUNK_SIZE:
+                        self.backend.commit_chunk()
+                        self.backend.begin_chunk()
+                        in_chunk = 0
                     report.documents.append(check)
                     if store is not None:
                         store.record_cell(
@@ -555,10 +565,12 @@ class CorpusStore:
                     if _after_document is not None:
                         _after_document(index, check)
             except BaseException:
+                self.backend.commit_chunk()
                 # keep the journal so resume=True can continue the run
                 if store is not None:
                     store.close()
                 raise
+            self.backend.commit_chunk()
             if store is not None:
                 store.finalize(
                     {

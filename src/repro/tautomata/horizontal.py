@@ -11,7 +11,7 @@ automaton protocol:
 * ``accepting(state)`` -- acceptance;
 * ``size()`` -- number of states (for the Proposition 3 size study);
 * ``watch()`` -- a sound finite bound on the symbols the language can
-  ever step on, as a projection path plus a set (or ``None``, unknown):
+  ever step on, as an index path plus a set (or ``None``, unknown):
   the worklist engine skips every symbol outside it.
 
 Symbols are hedge-automaton states (arbitrary hashable objects).  The
@@ -23,16 +23,17 @@ for the Definition 6 intersection condition.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Hashable, Sequence
 
 from repro.regex.dfa import DFA
 
 HState = Hashable
 Symbol = Hashable
-Projection = Callable[[Symbol], Symbol]
+#: coordinates read left to right: ``(0, 1)`` reads ``symbol[0][1]``
+Path = tuple[int, ...]
 #: ``(path, symbols)``: only a symbol whose projection through ``path``
-#: (applied left to right) lies in ``symbols`` can step a state anywhere
-Watch = tuple[tuple[Projection, ...], frozenset[Symbol]]
+#: lies in ``symbols`` can step a state anywhere
+Watch = tuple[Path, frozenset[Symbol]]
 
 
 class HorizontalLanguage:
@@ -69,8 +70,8 @@ class HorizontalLanguage:
         """The symbols this language can ever step on, over-approximated.
 
         ``(path, symbols)`` promises that from every state reachable
-        from :meth:`initial`, a symbol steps to ``None`` unless applying
-        the projections of ``path`` in order maps it into ``symbols``.
+        from :meth:`initial`, a symbol steps to ``None`` unless reading
+        the coordinates of ``path`` in order maps it into ``symbols``.
         The worklist engine skips the (frontier state, symbol) pairs the
         bound rules out, so it must be sound; it need not be tight.
         The base default ``None`` means unknown: every symbol is tried.
@@ -221,36 +222,31 @@ class DFAHorizontal(HorizontalLanguage):
 
 
 class ProjectedHorizontal(HorizontalLanguage):
-    """Apply a projection to every symbol before a wrapped language.
+    """Read one coordinate of every symbol before a wrapped language.
 
     In a product automaton the children states are tuples; each component
     automaton's horizontal language reads its own coordinate.
     """
 
-    def __init__(
-        self,
-        inner: HorizontalLanguage,
-        projection: Callable[[Symbol], Symbol],
-    ) -> None:
+    def __init__(self, inner: HorizontalLanguage, index: int) -> None:
         self.inner = inner
-        self.projection = projection
+        self.index = index
 
     def structure_key(self) -> Hashable:
-        # module-level projections hash stably by identity
-        return ("projected", self.inner.structure_key(), self.projection)
+        return ("projected", self.inner.structure_key(), self.index)
 
     def watch(self) -> Watch | None:
         inner = self.inner.watch()
         if inner is None:
             return None
         path, symbols = inner
-        return (self.projection, *path), symbols
+        return (self.index, *path), symbols
 
     def initial(self) -> HState:
         return self.inner.initial()
 
     def step(self, state: HState, symbol: Symbol) -> HState | None:
-        return self.inner.step(state, self.projection(symbol))
+        return self.inner.step(state, symbol[self.index])
 
     def accepting(self, state: HState) -> bool:
         return self.inner.accepting(state)
@@ -260,41 +256,76 @@ class ProjectedHorizontal(HorizontalLanguage):
 
 
 class ProductHorizontal(HorizontalLanguage):
-    """Conjunction of several horizontal languages on the same word."""
+    """Conjunction of several horizontal languages on the same word.
+
+    Nested products are flattened at construction: a part that is a
+    projection of a product contributes that product's leaves, each
+    reading the symbol through the composed index path.  So a product
+    of products of projections — the flagged product over ``A_S × A_FD``
+    — steps its leaf languages in one loop, with one state tuple, and
+    reads each leaf's coordinate with plain index reads.  Flattening
+    only regroups the conjunction: the same words are accepted, and the
+    reachable states correspond one to one.
+    """
 
     def __init__(self, parts: Sequence[HorizontalLanguage]) -> None:
-        self.parts = list(parts)
+        #: the leaf languages, and the index path each reads through
+        self.parts: list[HorizontalLanguage] = []
+        self.paths: list[Path] = []
+        for part in parts:
+            path: Path = ()
+            while isinstance(part, ProjectedHorizontal):
+                path += (part.index,)
+                part = part.inner
+            if isinstance(part, ProductHorizontal):
+                self.parts.extend(part.parts)
+                self.paths.extend(path + inner for inner in part.paths)
+            else:
+                self.parts.append(part)
+                self.paths.append(path)
+        self._initial = tuple(part.initial() for part in self.parts)
+        self._steps = [
+            (part.step, path) for part, path in zip(self.parts, self.paths)
+        ]
 
     def structure_key(self) -> Hashable:
-        return ("product", tuple(part.structure_key() for part in self.parts))
+        return (
+            "product",
+            tuple(
+                (path, part.structure_key())
+                for part, path in zip(self.parts, self.paths)
+            ),
+        )
 
     def watch(self) -> Watch | None:
         # a product step dies when any part's does: one part's bound holds
-        for part in self.parts:
+        for part, path in zip(self.parts, self.paths):
             bound = part.watch()
             if bound is not None:
-                return bound
+                inner, symbols = bound
+                return path + inner, symbols
         return None
 
     def initial(self) -> HState:
-        return tuple(part.initial() for part in self.parts)
+        return self._initial
 
     def step(self, state: HState, symbol: Symbol) -> HState | None:
-        assert isinstance(state, tuple)
         advanced = []
-        for part, sub_state in zip(self.parts, state):
-            next_state = part.step(sub_state, symbol)
+        for (step, path), sub_state in zip(self._steps, state):
+            key = symbol
+            for index in path:
+                key = key[index]
+            next_state = step(sub_state, key)
             if next_state is None:
                 return None
             advanced.append(next_state)
         return tuple(advanced)
 
     def accepting(self, state: HState) -> bool:
-        assert isinstance(state, tuple)
-        return all(
-            part.accepting(sub_state)
-            for part, sub_state in zip(self.parts, state)
-        )
+        for part, sub_state in zip(self.parts, state):
+            if not part.accepting(sub_state):
+                return False
+        return True
 
     def size(self) -> int:
         product = 1
@@ -306,25 +337,25 @@ class ProductHorizontal(HorizontalLanguage):
 class FlagOnceHorizontal(HorizontalLanguage):
     """Count flagged children: accepts words with a given flag total.
 
-    ``flag_of`` extracts a boolean from each symbol; the language accepts
+    Each symbol is a flag, 0 or 1 (a product reads it out of the
+    children's state tuples through a projection); the language accepts
     when the number of flagged children equals ``required`` (0 or 1 in
     the Definition 6 construction — the designated node lies in exactly
     one child subtree unless the current node is the designated one).
     """
 
-    def __init__(self, required: int, flag_of: Callable[[Symbol], bool]) -> None:
+    def __init__(self, required: int) -> None:
         self.required = required
-        self.flag_of = flag_of
 
     def structure_key(self) -> Hashable:
-        return ("flag-once", self.required, self.flag_of)
+        return ("flag-once", self.required)
 
     def initial(self) -> HState:
         return 0
 
     def step(self, state: HState, symbol: Symbol) -> HState | None:
         assert isinstance(state, int)
-        count = state + (1 if self.flag_of(symbol) else 0)
+        count = state + symbol
         if count > self.required:
             return None
         return count

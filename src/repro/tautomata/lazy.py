@@ -33,13 +33,13 @@ about what was actually visited.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable, Collection, Iterable, Iterator
+from collections.abc import Callable, Collection, Hashable, Iterable, Iterator
 
 from repro.limits import BudgetMeter
 from repro.obs.trace import NOOP_TRACER
 from repro.tautomata.hedge import HedgeAutomaton, LabelSpec, Rule, State
-from repro.tautomata.horizontal import ProductHorizontal, ProjectedHorizontal
 from repro.tautomata.intern import InternTable
+from repro.tautomata.ops import pair_combine
 from repro.tautomata.worklist import InhabitationEngine
 
 
@@ -182,6 +182,29 @@ def analyze_factor(
     )
 
 
+def memoized(
+    cache: dict | None,
+    key: Hashable,
+    build: Callable[[], FactorAnalysis],
+    tracer=None,
+) -> FactorAnalysis:
+    """``cache[key]``, built on a miss (always built without a cache).
+
+    A hit charges nothing against any meter — the work was done (and
+    billed) by whichever run populated the entry; a build aborted by
+    its meter raises before storing, so it leaves no entry behind.
+    """
+    if cache is None:
+        return build()
+    analysis = cache.get(key)
+    if analysis is None:
+        analysis = build()
+        cache[key] = analysis
+    elif tracer is not None:
+        tracer.event("factor.cache_hit")
+    return analysis
+
+
 def cached_factor(
     automaton: HedgeAutomaton,
     typed: bool = True,
@@ -194,39 +217,42 @@ def cached_factor(
     The cache is keyed by the automaton *object* (identity hash), not
     its ``id()``: the entry's strong reference keeps the automaton
     alive, so a freed-and-reused address can never alias a stale
-    analysis onto a different automaton.
-
-    A cache hit charges nothing against ``meter`` — the work was done
-    (and billed) by whichever run populated the entry; a budgeted run
-    aborted by the meter leaves no cache entry behind.
+    analysis onto a different automaton.  Hits and aborted builds
+    follow :func:`memoized`.
     """
-    if cache is None:
-        return analyze_factor(automaton, typed=typed, meter=meter, tracer=tracer)
-    key = (automaton, typed)
-    analysis = cache.get(key)
-    if analysis is None:
-        analysis = analyze_factor(automaton, typed=typed, meter=meter, tracer=tracer)
-        cache[key] = analysis
-    elif tracer is not None:
-        tracer.event("factor.cache_hit")
-    return analysis
+    return memoized(
+        cache,
+        (automaton, typed),
+        lambda: analyze_factor(
+            automaton, typed=typed, meter=meter, tracer=tracer
+        ),
+        tracer,
+    )
 
 
 @dataclasses.dataclass(frozen=True)
 class ExplorationStats:
-    """Explored-vs-worst-case accounting of one lazy emptiness run.
+    """Explored-vs-worst-case accounting of one lazy product level.
 
     ``worst_case_rules`` is the number of rules the eager construction
-    bounds from above (candidate pairs × maximal rules per pair, summed
-    over product levels); ``explored_rules`` is how many product rules
-    the lazy run actually instantiated, and ``explored_states`` how many
-    product states it proved inhabited.  ``fired_rules`` is the exact
-    count of individually fired rules when the engine tracked rules, and
-    ``None`` otherwise (the untracked engine only records one firing per
-    state, which is a different quantity).  ``step_attempts`` counts the
-    (frontier state, symbol) pairs the fixpoint went through, including
-    those a watch set ruled out without a ``step`` call, so it is the
-    same whether or not a language reports a watch set.
+    of this level bounds from above (factor rules × factor rules ×
+    maximal rules per pair); ``explored_rules`` is how many product
+    rules the lazy run actually instantiated, and ``explored_states``
+    how many product states it proved inhabited.  ``fired_rules`` is
+    the exact count of individually fired rules when the engine tracked
+    rules, and ``None`` otherwise (the untracked engine only records one
+    firing per state, which is a different quantity).  ``step_attempts``
+    counts the (frontier state, symbol) pairs the fixpoint went through,
+    including those a watch set ruled out without a ``step`` call, so it
+    is the same whether or not a language reports a watch set.
+
+    The dangerous-language pipeline reports one level per (FD, update)
+    cell: the flagged product of the cell's left factor with ``A_U``.
+    Under a schema the left factor is the row's ``A_S × A_FD`` product,
+    explored once and shared by every cell of the row; like the factor
+    fixpoints it is not counted in any cell's explored figures, but its
+    rule count — the ``|A_S| · |A_FD|`` rule pairs it was built from —
+    is the left factor size in the cell's ``worst_case_rules``.
     """
 
     explored_states: int
@@ -234,20 +260,6 @@ class ExplorationStats:
     fired_rules: int | None
     worst_case_rules: int
     step_attempts: int
-
-    def merge(self, other: "ExplorationStats") -> "ExplorationStats":
-        """Combine accounting across product levels (e.g. B then A_S×B)."""
-        return ExplorationStats(
-            explored_states=self.explored_states + other.explored_states,
-            explored_rules=self.explored_rules + other.explored_rules,
-            fired_rules=(
-                None
-                if self.fired_rules is None or other.fired_rules is None
-                else self.fired_rules + other.fired_rules
-            ),
-            worst_case_rules=self.worst_case_rules + other.worst_case_rules,
-            step_attempts=self.step_attempts + other.step_attempts,
-        )
 
     @property
     def explored_size(self) -> int:
@@ -279,35 +291,8 @@ class ProductExploration:
 Combine = Callable[[Rule, Rule], Iterable[Rule]]
 
 
-def _first(symbol: State) -> State:
-    assert isinstance(symbol, tuple)
-    return symbol[0]
-
-
-def _second(symbol: State) -> State:
-    assert isinstance(symbol, tuple)
-    return symbol[1]
-
-
-def pair_combine(left_rule: Rule, right_rule: Rule) -> Iterator[Rule]:
-    """The plain synchronous-product rule for one compatible pair.
-
-    Mirrors :func:`repro.tautomata.ops.product_automaton` rule for rule,
-    so lazy and eager exploration decide the same language.
-    """
-    labels = left_rule.labels.intersect(right_rule.labels)
-    if labels.is_empty():
-        return
-    yield Rule(
-        state=(left_rule.state, right_rule.state),
-        labels=labels,
-        horizontal=ProductHorizontal(
-            [
-                ProjectedHorizontal(left_rule.horizontal, _first),
-                ProjectedHorizontal(right_rule.horizontal, _second),
-            ]
-        ),
-    )
+#: ``(late, unlocks)``: rules held back until a state ``unlocks`` fires
+Deferral = tuple[Combine, Callable[[State], bool]]
 
 
 def explore_product(
@@ -318,6 +303,7 @@ def explore_product(
     want_witness: bool = False,
     track_rules: bool = False,
     rules_per_pair: int = 1,
+    deferred: Deferral | None = None,
     meter: BudgetMeter | None = None,
     tracer=None,
 ) -> ProductExploration:
@@ -327,6 +313,13 @@ def explore_product(
     rules; ``combine`` turns each pair into its product rules (and may
     itself decline a pair).  Everything else — incremental frontiers,
     typing, witness words — is the shared worklist engine.
+
+    ``deferred = (late, unlocks)`` holds back the ``late`` rules of
+    every pair, for rules that cannot fire before some state satisfying
+    ``unlocks`` is inhabited.  They join the engine after the first
+    fixpoint, and only if it inhabited such a state; the engine catches
+    a late rule up on every inhabited symbol, so the least fixpoint is
+    the one of all rules added at once.
     """
     if tracer is None:
         tracer = NOOP_TRACER
@@ -337,10 +330,18 @@ def explore_product(
             track_rules=track_rules,
             meter=meter,
         )
-        for left_rule in left.fireable:
-            for right_rule in right.index.compatible(left_rule.labels):
-                engine.add_rules(combine(left_rule, right_rule))
-        engine.run()
+
+        def add_pairs(rules_of: Combine) -> None:
+            for left_rule in left.fireable:
+                for right_rule in right.index.compatible(left_rule.labels):
+                    engine.add_rules(rules_of(left_rule, right_rule))
+            engine.run()
+
+        add_pairs(combine)
+        if deferred is not None:
+            late, unlocks = deferred
+            if any(unlocks(state) for state in engine.firings):
+                add_pairs(late)
         stats = ExplorationStats(
             explored_states=engine.explored_states(),
             explored_rules=engine.rule_count,
@@ -355,6 +356,33 @@ def explore_product(
             span.set_attribute("rounds", engine.rounds)
             span.set_attribute("step_attempts", stats.step_attempts)
     return ProductExploration(engine=engine, stats=stats)
+
+
+def product_factor(
+    left: FactorAnalysis,
+    right: FactorAnalysis,
+    typed: bool = True,
+    meter: BudgetMeter | None = None,
+    tracer=None,
+) -> FactorAnalysis:
+    """The product ``left × right`` at its fixpoint, as a factor.
+
+    Rules are tracked, so the factor's fireable rules are exactly the
+    product rules that fired, and a further product over it never
+    generates a pair whose left rule cannot fire here.  Its
+    ``rule_count`` is the product's worst case, the rule pairs the eager
+    construction would build.
+    """
+    exploration = explore_product(
+        left, right, typed=typed, track_rules=True, meter=meter, tracer=tracer
+    )
+    fired = exploration.fired_rules()
+    return FactorAnalysis(
+        inhabited=exploration.inhabited,
+        fireable=fired,
+        index=RuleIndex(fired),
+        rule_count=exploration.stats.worst_case_rules,
+    )
 
 
 class IncrementalProductSession:

@@ -9,20 +9,32 @@ intersection and the final ``A = A_S × B`` of Proposition 3.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
-from repro.tautomata.hedge import HedgeAutomaton, Rule, State
+from repro.tautomata.hedge import HedgeAutomaton, Rule
 from repro.tautomata.horizontal import ProductHorizontal, ProjectedHorizontal
 
 
-def _first(symbol: State) -> State:
-    assert isinstance(symbol, tuple)
-    return symbol[0]
+def pair_combine(left_rule: Rule, right_rule: Rule) -> Iterator[Rule]:
+    """The product rule of one rule pair, if their labels intersect.
 
-
-def _second(symbol: State) -> State:
-    assert isinstance(symbol, tuple)
-    return symbol[1]
+    Shared by :func:`product_automaton` and the lazy exploration of
+    :mod:`repro.tautomata.lazy`, so both decide the same language rule
+    for rule.
+    """
+    labels = left_rule.labels.intersect(right_rule.labels)
+    if labels.is_empty():
+        return
+    yield Rule(
+        state=(left_rule.state, right_rule.state),
+        labels=labels,
+        horizontal=ProductHorizontal(
+            [
+                ProjectedHorizontal(left_rule.horizontal, 0),
+                ProjectedHorizontal(right_rule.horizontal, 1),
+            ]
+        ),
+    )
 
 
 def product_automaton(
@@ -39,22 +51,7 @@ def product_automaton(
     rules: list[Rule] = []
     for left_rule in left.rules:
         for right_rule in right.rules:
-            labels = left_rule.labels.intersect(right_rule.labels)
-            if labels.is_empty():
-                continue
-            horizontal = ProductHorizontal(
-                [
-                    ProjectedHorizontal(left_rule.horizontal, _first),
-                    ProjectedHorizontal(right_rule.horizontal, _second),
-                ]
-            )
-            rules.append(
-                Rule(
-                    state=(left_rule.state, right_rule.state),
-                    labels=labels,
-                    horizontal=horizontal,
-                )
-            )
+            rules.extend(pair_combine(left_rule, right_rule))
 
     if accept is None:
         accepting = [

@@ -89,9 +89,9 @@ def spec_has_element_label(spec: LabelSpec) -> bool:
     )
 
 
-def _project(symbol: State, path: tuple) -> State:
-    for projection in path:
-        symbol = projection(symbol)
+def _project(symbol: State, path: tuple[int, ...]) -> State:
+    for index in path:
+        symbol = symbol[index]
     return symbol
 
 

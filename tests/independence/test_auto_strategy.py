@@ -1,13 +1,11 @@
-"""The adaptive strategy: auto must be invisible in the verdicts.
+"""The default strategy: auto must be invisible in the verdicts.
 
-``strategy="auto"`` (the new default) resolves to lazy or eager per
-instance from the automaton shapes.  Whatever it picks, the criterion's
+``strategy="auto"`` (the default) resolves to lazy.  The criterion's
 *outputs* must be bit-for-bit what both fixed strategies produce — the
-strategies decide the same emptiness, so auto can only ever change the
-wall time, never a verdict, a witness-emptiness bit, or the UNKNOWN
-routing.  The randomized differential suite below pins that over 200+
-instances; the selector unit tests pin the cost model's decision
-boundaries and its determinism.
+strategies decide the same emptiness, so the choice can only ever
+change the wall time, never a verdict, a witness-emptiness bit, or the
+UNKNOWN routing.  The randomized differential suite below pins that
+over 200+ instances.
 """
 
 import pytest
@@ -20,13 +18,7 @@ from repro.independence.criterion import (
     check_independence,
 )
 from repro.independence.matrix import check_independence_matrix
-from repro.independence.strategy import (
-    HIGH_EXPLORED_FRACTION,
-    SCHEMA_EAGER_RULE_LIMIT,
-    StrategySelector,
-)
 from repro.independence.views import check_view_independence
-from repro.tautomata.lazy import ExplorationStats
 from tests.independence.test_lazy_criterion import _random_triple
 
 SEEDS = range(200)
@@ -57,7 +49,7 @@ class TestDifferentialEquivalence:
             == (eager.witness is None)
         )
         # the result reports the *resolved* strategy, never "auto"
-        assert auto.strategy in (LAZY, EAGER)
+        assert auto.strategy == LAZY
 
     @pytest.mark.parametrize("seed", range(0, 40))
     def test_auto_view_matches_both_fixed_strategies(self, seed):
@@ -105,74 +97,6 @@ class TestDifferentialEquivalence:
                 [cell.verdict for cell in row]
                 for row in grids[strategy].cells
             ] == reference
-
-
-class TestSelector:
-    """The cost model's decision boundaries, pinned."""
-
-    def test_schemaless_always_lazy(self):
-        selector = StrategySelector()
-        # without a schema factor the eager product buys nothing the
-        # lazy exploration doesn't already get, whatever the shape
-        for pattern_rules, update_rules in ((1, 1), (50, 50), (500, 500)):
-            assert (
-                selector.choose(
-                    pattern_rules=pattern_rules,
-                    update_rules=update_rules,
-                    schema_rules=0,
-                    alphabet_size=3,
-                )
-                == LAZY
-            )
-
-    def test_small_schema_product_eager(self):
-        selector = StrategySelector()
-        assert (
-            selector.choose(
-                pattern_rules=4, update_rules=3, schema_rules=5,
-                alphabet_size=3,
-            )
-            == EAGER
-        )
-
-    def test_huge_schema_product_defaults_lazy(self):
-        selector = StrategySelector()
-        worst = SCHEMA_EAGER_RULE_LIMIT * 3 * 10  # far past the limit
-        assert (
-            selector.choose(
-                pattern_rules=worst, update_rules=worst, schema_rules=5,
-                alphabet_size=3,
-            )
-            == LAZY
-        )
-
-    def test_observed_dense_exploration_flips_to_eager(self):
-        selector = StrategySelector()
-        worst = SCHEMA_EAGER_RULE_LIMIT * 3 * 10
-        dense = ExplorationStats(
-            explored_states=10,
-            explored_rules=90,
-            fired_rules=None,
-            worst_case_rules=100,
-            step_attempts=100,
-        )
-        # repeated dense observations push the EWMA over the threshold
-        for _ in range(8):
-            selector.observe(dense)
-        assert selector.explored_fraction >= HIGH_EXPLORED_FRACTION
-        assert (
-            selector.choose(
-                pattern_rules=worst, update_rules=worst, schema_rules=5,
-                alphabet_size=3,
-            )
-            == EAGER
-        )
-
-    def test_selector_is_deterministic(self):
-        shapes = [(3, 4, 5, 3), (60, 60, 9, 2), (7, 2, 0, 5)]
-        first = [StrategySelector().choose(*shape) for shape in shapes]
-        second = [StrategySelector().choose(*shape) for shape in shapes]
-        assert first == second
 
 
 class TestValidation:

@@ -12,8 +12,12 @@ import random
 
 import pytest
 
+from repro.independence import language
 from repro.independence.criterion import EAGER, LAZY, check_independence
+from repro.independence.language import dangerous_language
+from repro.independence.matrix import check_independence_matrix
 from repro.independence.views import check_view_independence
+from repro.obs.trace import InMemorySpanCollector, Tracer, installed_tracer
 from repro.schema.dtd import Schema
 from repro.workload.random_patterns import (
     random_functional_dependency,
@@ -88,6 +92,78 @@ class TestWitnessEquivalence:
         assert eager.language.automaton.accepts(lazy.witness)
         if schema is not None:
             assert schema.is_valid(lazy.witness)
+
+
+class TestDeferredFlagRules:
+    """The flag 1 "via one flagged child" rules join the cell product
+    only once a designation has fired."""
+
+    def _explore(self, monkeypatch, seed):
+        """One lazy exploration, with the flag-1-via-child rules it built
+        and the cell product's firings."""
+        built, firings = [], []
+        combines = language.flagged_combines
+        explore_product = language.explore_product
+
+        def counting_combines(*args):
+            unflagged, one_flagged = combines(*args)
+
+            def counted(left_rule, u_rule):
+                for rule in one_flagged(left_rule, u_rule):
+                    built.append(rule)
+                    yield rule
+
+            return unflagged, counted
+
+        def recording_explore(*args, **kwargs):
+            exploration = explore_product(*args, **kwargs)
+            firings.append(exploration.engine.firings)
+            return exploration
+
+        monkeypatch.setattr(language, "flagged_combines", counting_combines)
+        monkeypatch.setattr(language, "explore_product", recording_explore)
+        fd, update_class, schema = _random_triple(seed)
+        outcome = dangerous_language(
+            fd, update_class, schema, materialize=False
+        ).explore(want_witness=True)
+        return outcome, built, firings[-1]
+
+    def test_rules_wait_for_a_designation(self, monkeypatch):
+        undesignated = dependent = 0
+        for seed in range(40):
+            outcome, built, firings = self._explore(monkeypatch, seed)
+            designated = any(state[2] == 1 for state in firings)
+            assert bool(built) == designated, seed
+            undesignated += not designated
+            if not outcome.empty:
+                dependent += 1
+                fd, update_class, schema = _random_triple(seed)
+                eager = dangerous_language(fd, update_class, schema)
+                assert eager.automaton.accepts(outcome.witness), seed
+        # both branches were exercised
+        assert undesignated and dependent
+
+
+class TestRowFactor:
+    def test_one_row_factor_per_row_of_a_traced_matrix(self):
+        schema = Schema.from_rules(
+            "a", {"a": "b* c?", "b": "a? c*", "c": "#text"}
+        )
+        triples = [_random_triple(seed) for seed in range(4)]
+        fds = [fd for fd, _, _ in triples[:3]]
+        update_classes = [update_class for _, update_class, _ in triples]
+        collector = InMemorySpanCollector()
+        with installed_tracer(Tracer(collector)):
+            traced = check_independence_matrix(
+                fds, update_classes, schema=schema
+            )
+        assert len(collector.by_name("matrix.cell")) == 12
+        assert len(collector.by_name("ic.row_factor")) == 3
+        assert len(collector.by_name("product.explore")) == 3 + 12
+        untraced = check_independence_matrix(fds, update_classes, schema=schema)
+        assert [[c.verdict for c in row] for row in traced.cells] == [
+            [c.verdict for c in row] for row in untraced.cells
+        ]
 
 
 class TestViewStrategies:

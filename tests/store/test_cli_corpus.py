@@ -4,7 +4,8 @@ Load: 0 clean / 2 member errors.  Check-fd: 0 satisfied / 2 violated /
 3 unknown.  Apply: 0 all committed / 2 rollbacks.  ``--json-out``
 payloads round-trip the library reports; a second load of the same
 corpus is recognized as unchanged.  A store in the old shredded layout
-is refused with exit 64 by every command that opens a store.
+is refused with exit 64 by every command that opens a store, and every
+command but ``load`` refuses a missing store the same way.
 """
 
 from __future__ import annotations
@@ -281,3 +282,38 @@ class TestOldLayout:
         assert len(lines) == 1, captured.err
         assert "old node/edge/attr layout" in lines[0]
         assert "into a new store" in lines[0]
+
+
+class TestMissingStore:
+    """Only ``corpus load`` creates a store; the commands that read or
+    update one refuse a path that names no file, and create nothing."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["corpus", "check-fd", "{db}", "--fd", ISBN_TITLE],
+            ["corpus", "apply", "{db}", "--set", "/library/book/price=1"],
+            ["corpus", "stats", "{db}"],
+            ["corpus", "stats", "sqlite://{db}"],
+            ["audit", "{corpus}", "--store", "{db}"],
+        ],
+        ids=["check-fd", "apply", "stats", "stats-sqlite-url", "audit"],
+    )
+    def test_read_side_entry_points_exit_64(self, tmp_path, capsys, command):
+        corpus = _write_corpus(tmp_path / "corpus", count=1)
+        db = tmp_path / "typo.db"
+        argv = [part.format(db=db, corpus=corpus) for part in command]
+        assert main(argv) == 64
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert f"no corpus store at {db}" in lines[0]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus"]
+
+    def test_load_creates_the_store(self, tmp_path, capsys):
+        corpus = _write_corpus(tmp_path / "corpus", count=1)
+        db = tmp_path / "new.db"
+        assert main(["corpus", "load", str(db), corpus]) == 0
+        assert db.is_file()
+        assert main(["corpus", "stats", str(db)]) == 0
+        assert "documents: 1" in capsys.readouterr().out

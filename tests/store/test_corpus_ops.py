@@ -12,8 +12,13 @@ import pytest
 
 from repro.errors import StoreError
 from repro.limits import Budget
-from repro.store import CorpusStore, MemoryBackend
-from repro.store.corpus import SATISFIED, UNKNOWN, VIOLATED
+from repro.store import CorpusStore, MemoryBackend, SqliteBackend
+from repro.store.corpus import (
+    DEFAULT_CHUNK_SIZE,
+    SATISFIED,
+    UNKNOWN,
+    VIOLATED,
+)
 from repro.update.apply import Update
 from repro.update.operations import set_text
 from repro.workload.library import (
@@ -171,6 +176,74 @@ class TestCheck:
             False,
             False,
         ]
+
+
+class _CountingConnection:
+    """A ``sqlite3`` connection that counts its commits."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.commits = 0
+
+    def commit(self) -> None:
+        self.commits += 1
+        self._inner.commit()
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def _counting_store(path, documents):
+    backend = SqliteBackend(str(path))
+    store = CorpusStore(backend)
+    backend.begin_chunk()
+    for index in range(documents):
+        store.put_document(
+            f"d{index:03d}.xml", generate_library(books=1, seed=index)
+        )
+    backend.commit_chunk()
+    counter = _CountingConnection(backend._connection)
+    backend._connection = counter
+    return store, counter
+
+
+class TestIndexStateCommits:
+    """A cold check stages index states and commits them a load chunk
+    at a time — not once per (document, FD)."""
+
+    def test_cold_check_commits_once_per_load_chunk(self, tmp_path):
+        documents = DEFAULT_CHUNK_SIZE + 6
+        fds = library_fds()[:2]
+        store, counter = _counting_store(tmp_path / "c.db", documents)
+        with store:
+            cold = store.check_fd_corpus(fds)
+            assert cold.indexed_documents == documents * len(fds)
+            assert counter.commits == 2
+            warm = store.check_fd_corpus(fds)
+            assert warm.index_hits == documents * len(fds)
+            assert [d.verdicts for d in warm.documents] == [
+                d.verdicts for d in cold.documents
+            ]
+
+    def test_interrupted_check_commits_the_states_it_computed(self, tmp_path):
+        fds = library_fds()[:2]
+        store, counter = _counting_store(tmp_path / "c.db", 5)
+
+        class Stop(RuntimeError):
+            pass
+
+        def interrupt(index, check):
+            if index == 2:
+                raise Stop()
+
+        with store:
+            with pytest.raises(Stop):
+                store.check_fd_corpus(fds, _after_document=interrupt)
+            assert counter.commits == 1
+            warm = store.check_fd_corpus(fds)
+            assert [d.from_index for d in warm.documents] == [
+                2, 2, 2, 0, 0
+            ]
 
 
 class TestApply:

@@ -1,5 +1,9 @@
 """Unit tests for horizontal languages."""
 
+import random
+
+import pytest
+
 from repro.regex.dfa import compile_regex
 from repro.tautomata.horizontal import (
     AllHorizontal,
@@ -76,7 +80,7 @@ class TestDFAHorizontal:
 class TestCombinators:
     def test_projection(self):
         inner = AllHorizontal({"x"})
-        language = ProjectedHorizontal(inner, lambda pair: pair[0])
+        language = ProjectedHorizontal(inner, 0)
         assert language.accepts([("x", 1), ("x", 2)])
         assert not language.accepts([("y", 1)])
 
@@ -94,9 +98,40 @@ class TestCombinators:
         )
         assert product.size() == 2
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_nested_projected_product_accepts_as_its_flat_form(self, seed):
+        """A product over a projected product is flattened into one loop
+        over its leaves; it accepts a word exactly when every original
+        part, run on its own, accepts it."""
+        rng = random.Random(seed)
+        row = ProductHorizontal(
+            [
+                ProjectedHorizontal(DFAHorizontal(compile_regex("a.(b|c)*")), 0),
+                ProjectedHorizontal(ShuffleHorizontal({"f"}, [{"r"}]), 1),
+            ]
+        )
+        parts = [
+            ProjectedHorizontal(row, 0),
+            ProjectedHorizontal(AllHorizontal({"x", "y"}), 1),
+            ProjectedHorizontal(FlagOnceHorizontal(1), 2),
+        ]
+        flat = ProductHorizontal(parts)
+        assert flat.paths == [(0, 0), (0, 1), (1,), (2,)]
+        for _ in range(200):
+            word = [
+                (
+                    (rng.choice("abc"), rng.choice("fr")),
+                    rng.choice("xyz"),
+                    rng.choice((0, 0, 1)),
+                )
+                for _ in range(rng.randint(0, 4))
+            ]
+            nested = all(part.accepts(word) for part in parts)
+            assert flat.accepts(word) is nested, word
+
     def test_flag_counting(self):
-        zero = FlagOnceHorizontal(0, lambda s: s[1])
-        one = FlagOnceHorizontal(1, lambda s: s[1])
+        zero = ProjectedHorizontal(FlagOnceHorizontal(0), 1)
+        one = ProjectedHorizontal(FlagOnceHorizontal(1), 1)
         unflagged = [("x", False), ("y", False)]
         one_flag = [("x", True), ("y", False)]
         two_flags = [("x", True), ("y", True)]

@@ -3,7 +3,9 @@
 The worklist engine skips every (frontier state, symbol) pair a rule's
 watch set rules out.  Two properties make that invisible, checked over
 the same inputs — random trace automata, the workload schemas'
-automata, and the flagged and schema-product rules built from them:
+automata, and the product rules built from them: Proposition 3's
+flagged product ``B`` and ``A_S × B``, and the lazy pipeline's row
+factor ``A_S × A_FD`` and the flagged product over its fired rules:
 
 * soundness: a ruled-out symbol steps every horizontal state the
   frontier can reach to ``None``;
@@ -18,7 +20,7 @@ import time
 
 import pytest
 
-from repro.independence.language import dangerous_factors, flagged_rules
+from repro.independence.language import dangerous_factors, flagged_combines
 from repro.limits import Budget, BudgetExceeded
 from repro.regex.dfa import compile_regex
 from repro.schema.automaton import schema_automaton
@@ -34,7 +36,12 @@ from repro.tautomata.horizontal import (
     ProjectedHorizontal,
     ShuffleHorizontal,
 )
-from repro.tautomata.lazy import RuleIndex, analyze_factor, pair_combine
+from repro.tautomata.lazy import (
+    RuleIndex,
+    analyze_factor,
+    pair_combine,
+    product_factor,
+)
 from repro.tautomata.worklist import InhabitationEngine
 from repro.workload.exams import exam_schema, paper_patterns
 from repro.workload.library import (
@@ -95,36 +102,44 @@ CELL_LIST = [cell for cells in CELLS.values() for cell in cells]
 
 
 def _product_levels(schema, fd, update_class):
-    """The flagged rules of ``B`` and the pair rules of ``A_S × B``,
-    generated as the lazy pipeline generates them."""
+    """The rules of ``B``, ``A_S × B``, the row factor ``A_S × A_FD``
+    and the flagged product over the row factor's fired rules, each
+    generated as the lazy pipeline generates a product level."""
     fd_automaton, u_automaton, schema_hedge = dangerous_factors(
         fd.pattern, update_class, schema
     )
     fd_factor = analyze_factor(fd_automaton.automaton)
     u_factor = analyze_factor(u_automaton.automaton)
-    flagged = [
-        rule
-        for fd_rule in fd_factor.fireable
-        for u_rule in u_factor.index.compatible(fd_rule.labels)
-        for rule in flagged_rules(
-            fd_rule,
-            u_rule,
-            u_automaton.selected_image_states,
-            fd_automaton.bot_state,
-        )
-    ]
+    schema_factor = analyze_factor(schema_hedge)
+
+    def flagged_over(left, with_schema):
+        combines = flagged_combines(fd_automaton, u_automaton, with_schema)
+        return [
+            rule
+            for left_rule in left.fireable
+            for u_rule in u_factor.index.compatible(left_rule.labels)
+            for combine in combines
+            for rule in combine(left_rule, u_rule)
+        ]
+
+    def pairs(left, right_index):
+        return [
+            rule
+            for left_rule in left.fireable
+            for right_rule in right_index.compatible(left_rule.labels)
+            for rule in pair_combine(left_rule, right_rule)
+        ]
+
+    flagged = flagged_over(fd_factor, False)
     engine = InhabitationEngine(typed=True, track_rules=True)
     engine.add_rules(flagged)
     engine.run()
-    fired = RuleIndex(engine.fired_rules)
-    schema_factor = analyze_factor(schema_hedge)
-    product = [
-        rule
-        for schema_rule in schema_factor.fireable
-        for flagged_rule in fired.compatible(schema_rule.labels)
-        for rule in pair_combine(schema_rule, flagged_rule)
-    ]
-    return flagged, product
+    return {
+        "flagged": flagged,
+        "product": pairs(schema_factor, RuleIndex(engine.fired_rules)),
+        "row": pairs(schema_factor, fd_factor.index),
+        "cell": flagged_over(product_factor(schema_factor, fd_factor), True),
+    }
 
 
 def _rule_sets():
@@ -139,9 +154,8 @@ def _rule_sets():
     ):
         sets[f"schema-{name}"] = schema_automaton(build()).rules
     for cell_id, cell in zip(CELL_IDS, CELL_LIST):
-        flagged, product = _product_levels(*cell)
-        sets[f"flagged-{cell_id}"] = flagged
-        sets[f"product-{cell_id}"] = product
+        for level, rules in _product_levels(*cell).items():
+            sets[f"{level}-{cell_id}"] = rules
     return sets
 
 
@@ -179,8 +193,8 @@ def _unknown(rules):
 
 
 def _key(symbol, path):
-    for projection in path:
-        symbol = projection(symbol)
+    for index in path:
+        symbol = symbol[index]
     return symbol
 
 
@@ -197,7 +211,7 @@ class TestLeafBounds:
         assert AllHorizontal({"x"}).watch() == ((), frozenset({"x"}))
         shuffle = ShuffleHorizontal({"f"}, [{"r1"}, {"r2", "f"}])
         assert shuffle.watch() == ((), frozenset({"f", "r1", "r2"}))
-        assert FlagOnceHorizontal(1, bool).watch() is None
+        assert FlagOnceHorizontal(1).watch() is None
 
     def test_dfa_bound_is_the_live_to_live_labels(self):
         # a b* c: "d" is in the alphabet but only leads to the sink
@@ -210,19 +224,27 @@ class TestLeafBounds:
         assert DFAHorizontal(dfa).watch() is None
 
     def test_projection_prepends_and_product_takes_the_first_bound(self):
-        def first(symbol):
-            return symbol[0]
-
-        def second(symbol):
-            return symbol[1]
-
         shuffle = ShuffleHorizontal({"f"}, [])
-        inner = ProjectedHorizontal(shuffle, second)
+        inner = ProjectedHorizontal(shuffle, 1)
         product = ProductHorizontal(
-            [FlagOnceHorizontal(0, bool), ProjectedHorizontal(inner, first)]
+            [FlagOnceHorizontal(0), ProjectedHorizontal(inner, 0)]
         )
-        assert product.watch() == ((first, second), frozenset({"f"}))
-        assert ProductHorizontal([FlagOnceHorizontal(0, bool)]).watch() is None
+        assert product.watch() == ((0, 1), frozenset({"f"}))
+        assert ProductHorizontal([FlagOnceHorizontal(0)]).watch() is None
+
+    def test_flattened_product_prefixes_the_leaf_path(self):
+        shuffle = ShuffleHorizontal({"f"}, [])
+        row = ProductHorizontal(
+            [
+                ProjectedHorizontal(FlagOnceHorizontal(0), 0),
+                ProjectedHorizontal(shuffle, 1),
+            ]
+        )
+        cell = ProductHorizontal(
+            [ProjectedHorizontal(row, 0), FlagOnceHorizontal(0)]
+        )
+        assert cell.paths == [(0, 0), (0, 1), ()]
+        assert cell.watch() == ((0, 1), frozenset({"f"}))
 
 
 class TestSoundness:
