@@ -439,6 +439,22 @@ def row_factor(
     return memoized(factor_cache, (schema_hedge, fd_hedge), build, tracer)
 
 
+def forget_row(
+    factor_cache: dict,
+    pattern_automaton: PatternAutomaton,
+    schema_hedge: HedgeAutomaton | None = None,
+) -> None:
+    """Drop what :func:`row_factor` cached for one FD automaton.
+
+    A matrix builds each row's FD automaton afresh, so no later cell
+    asks for these entries, while a pool worker reuses one factor cache
+    across runs: kept, they would pile up for the worker's lifetime.
+    """
+    fd_hedge = pattern_automaton.automaton
+    factor_cache.pop((fd_hedge, True), None)
+    factor_cache.pop((schema_hedge, fd_hedge), None)
+
+
 def _outcome(
     firings: dict,
     accepting: list[State],

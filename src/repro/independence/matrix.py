@@ -73,6 +73,7 @@ from repro.independence.criterion import LAZY, Verdict
 from repro.independence.language import (
     eager_automaton,
     explore_dangerous_factors,
+    forget_row,
     validate_update_class,
 )
 from repro.independence.strategy import AUTO, EAGER, STRATEGIES
@@ -579,6 +580,7 @@ def _explore_rows(
                     # inside the span: checkpoint.journal nests under
                     # the cell that produced the record
                     on_cell(cell)
+        forget_row(factor_cache, pattern_automaton, schema_hedge)
         rows.append(row)
     return rows
 

@@ -108,6 +108,43 @@ class TestShareOnceContext:
         assert len({token for _, token in pairs}) == 2  # one per workload
 
 
+class TestReusedContextCache:
+    @pytest.mark.parametrize("with_schema", (False, True))
+    def test_rows_leave_only_the_shared_factors_behind(self, with_schema):
+        """A worker reuses one materialized context, factor cache
+        included, across runs over the same update classes and schema;
+        each run's rows must not leave their own factors in it."""
+        from repro.independence.matrix import _explore_rows
+        from repro.schema.dtd import Schema
+
+        _, update_classes = _workload(3, rows=0, columns=2)
+        schema = (
+            Schema.from_rules("a", {"a": "b* c?", "b": "a? c*", "c": "#text"})
+            if with_schema
+            else None
+        )
+        token, context_bytes = pool.publish_context(
+            pool.SharedWorkContext(
+                update_classes=tuple(update_classes),
+                schema=schema,
+                alphabet=frozenset(LABELS),
+            )
+        )
+        try:
+            sizes = []
+            for run in range(3):
+                fds, _ = _workload(50 + run, rows=3, columns=0)
+                shared = pool.resolve_context(token, context_bytes)
+                _explore_rows(
+                    [fd.pattern for fd in fds], 0, shared, "lazy", False
+                )
+                sizes.append(len(shared.factor_cache))
+        finally:
+            pool.release_context(token)
+        # one factor per update class, plus the schema's
+        assert sizes == [len(update_classes) + with_schema] * 3
+
+
 class TestPoolReuse:
     def test_second_run_reuses_the_warm_executor(self):
         fds, update_classes = _workload(7, rows=4)
