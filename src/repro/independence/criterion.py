@@ -173,11 +173,12 @@ def check_independence(
     so the verdict quantifies exactly over real documents.  Witness
     construction runs only when the tree is actually wanted.
 
-    With a ``budget``, every fixpoint charges its work against one
-    shared meter; a run that exhausts the budget returns verdict
-    UNKNOWN with the partial statistics instead of raising.  With
-    ``budget=None`` (the default) no metering code runs at all and the
-    verdict is exactly the unbounded one.
+    With a ``budget``, the cell product charges its work against the
+    verdict's meter and each factor fixpoint against a fork of its own
+    (:meth:`~repro.limits.BudgetMeter.fork`); a run that exhausts the
+    budget returns verdict UNKNOWN with the partial statistics instead
+    of raising.  With ``budget=None`` (the default) no metering code
+    runs at all and the verdict is exactly the unbounded one.
 
     ``tracer`` defaults to the process-wide tracer (a no-op unless one
     was installed, e.g. by the CLI's ``--trace-out``); the analysis is

@@ -153,9 +153,9 @@ def flagged_combines(
     inside a selected-subtree region.  The second yields the flag 1 rule
     "via exactly one flagged child".  The left rule is an ``A_FD`` rule,
     or with ``with_schema`` an ``A_S × A_FD`` rule, whose state's FD
-    component is the second coordinate.  A flagged child exists only
-    below a designation, which is what lets the lazy exploration defer
-    the second combine.
+    component is the second coordinate.  The second combine's rule can
+    only read a word with one inhabited flagged child, which is what
+    lets the lazy exploration hold it until such a child is admitted.
     """
     selected_images = update_automaton.selected_image_states
     bot = fd_automaton.bot_state
@@ -380,8 +380,10 @@ def _dangerous_accepting(schema_hedge: HedgeAutomaton | None) -> list[State]:
     ]
 
 
-def _flagged_state(state: State) -> bool:
-    return state[2] == 1
+def _flagged_child(state: State) -> tuple[State, State] | None:
+    """What a via-child rule's left and U horizontals read in a flagged
+    child ``(l, u, 1)``; ``None`` for an unflagged state."""
+    return state[:2] if state[2] == 1 else None
 
 
 def row_factor(
@@ -400,13 +402,10 @@ def row_factor(
     :func:`~repro.tautomata.lazy.cached_factor` caches a factor: a hit
     charges nothing, and a build the meter stops leaves no entry.
 
-    The build is shared work, so it is metered by a fork of ``meter``
-    (:meth:`~repro.limits.BudgetMeter.fork`): the same caps on counts of
-    its own, and the same deadline.  Charged to the meter of whichever
-    cell happened to build it, it would push that cell across a cap
-    that its row's other cells stay under, and a budgeted verdict would
-    depend on the order cells ran in — which a resumed, drifted or
-    permuted matrix changes.
+    Like every shared build, each of its three fixpoints (the two
+    factors and their product) runs on its own fork of ``meter``
+    (:func:`~repro.tautomata.lazy.memoized`), so it is capped like a
+    cell without charging the cell that happened to build it.
     """
     if tracer is None:
         tracer = NOOP_TRACER
@@ -417,26 +416,27 @@ def row_factor(
             tracer=tracer,
         )
 
-    def build() -> FactorAnalysis:
-        shared = None if meter is None else meter.fork()
+    def build(fork: BudgetMeter | None) -> FactorAnalysis:
         schema_factor = cached_factor(
-            schema_hedge, typed=True, cache=factor_cache, meter=shared,
+            schema_hedge, typed=True, cache=factor_cache, meter=meter,
             tracer=tracer,
         )
         fd_factor = cached_factor(
-            fd_hedge, typed=True, cache=factor_cache, meter=shared,
+            fd_hedge, typed=True, cache=factor_cache, meter=meter,
             tracer=tracer,
         )
         with tracer.span("ic.row_factor") as span:
             factor = product_factor(
-                schema_factor, fd_factor, meter=shared, tracer=tracer
+                schema_factor, fd_factor, meter=fork, tracer=tracer
             )
             if span.enabled:
                 span.set_attribute("fireable_rules", len(factor.fireable))
                 span.set_attribute("worst_case_rules", factor.rule_count)
         return factor
 
-    return memoized(factor_cache, (schema_hedge, fd_hedge), build, tracer)
+    return memoized(
+        factor_cache, (schema_hedge, fd_hedge), build, meter, tracer
+    )
 
 
 def forget_row(
@@ -487,13 +487,19 @@ def explore_dangerous_factors(
 
     One lazy flagged product decides the cell: the :func:`row_factor`
     (``A_FD``, or ``A_S × A_FD`` under a schema) against ``A_U``'s
-    factor.  The flag 1 "via one flagged child" rules join only once a
-    designation has fired; before that no flagged child exists, so they
-    could not fire and the fixpoint is the same without them.
+    factor.  The flag 1 "via one flagged child" rule of a (left rule,
+    u rule) pair is built only once an inhabited flagged state
+    ``(l, u, 1)`` is admitted by both rules' horizontals — the left
+    one admits ``l`` and the u one admits ``u``; a pair no inhabited
+    flagged child is admitted by could never fire, so the fixpoint is
+    the one of all rules at once (``deferred`` of
+    :func:`~repro.tautomata.lazy.explore_product`).
     ``factor_cache`` lets batch drivers share the factor fixpoints and
-    the row factor across many (FD, U) cells.  A ``meter`` spans the
-    whole exploration (the factor work it is charged for and the cell
-    product), so the caps bound the total work of the verdict;
+    the row factor across many (FD, U) cells.  A ``meter`` counts the
+    cell product only: each shared build — the ``A_FD``, ``A_U`` and
+    ``A_S`` factor fixpoints and the row factor — is capped on its own
+    :meth:`~repro.limits.BudgetMeter.fork`, built or not by this cell,
+    so a budgeted verdict does not depend on the order cells run in;
     :class:`~repro.limits.BudgetExceeded` propagates to the caller.  A
     ``tracer`` (the no-op default when omitted) wraps each factor
     fixpoint, the row factor and the cell product in its own span.
@@ -519,7 +525,7 @@ def explore_dangerous_factors(
             typed=True,
             want_witness=want_witness,
             rules_per_pair=FLAGGED_RULES_PER_PAIR,
-            deferred=(one_flagged, _flagged_state),
+            deferred=(one_flagged, _flagged_child),
             meter=meter,
             tracer=tracer,
         )
@@ -570,8 +576,8 @@ class IncrementalDangerousSession:
     :meth:`~repro.tautomata.lazy.IncrementalProductSession.apply_delta`
     of the first level.  Level 2's delta is the identity diff of level
     1's fired product rules, which survive retraction as the same
-    objects.  Level 2 adds every flagged rule up front (the deferral of
-    the cold path does not survive retraction).  Verdicts are always
+    objects.  Level 2 adds every flagged rule up front (the cold path's
+    admission gate does not survive retraction).  Verdicts are always
     identical to a cold run on the current inputs; witnesses are valid
     members of ``L`` but may differ from the cold run's choice
     (discovery order), which is why the matrix drift path recomputes

@@ -132,7 +132,8 @@ def check_view_independence(
     """Certify that no update of the class can change the view's result.
 
     Like :func:`repro.independence.criterion.check_independence`, a
-    ``budget`` bounds the total exploration; exhausting it yields the
+    ``budget`` caps the cell product and, each on its own fork, the
+    factor fixpoints behind it; exhausting it yields the
     UNKNOWN verdict with partial statistics, never a wrong boolean.
     ``tracer`` likewise mirrors the FD criterion: the run is wrapped in
     a ``view.check`` span, and observability never changes the verdict.

@@ -103,12 +103,12 @@ class Budget:
         wall-clock allowance in milliseconds, measured from
         :meth:`start`;
     ``max_explored_states``
-        cap on states proved inhabited across the whole analysis (its
-        product level and factor fixpoints combined; a matrix row's
-        shared factor is capped on its own, see
-        :meth:`BudgetMeter.fork`);
+        cap on states proved inhabited by one fixpoint: the verdict's
+        own product level, and separately each shared build behind it
+        (a factor fixpoint, a matrix row's factor), which is capped on
+        its own fork (:meth:`BudgetMeter.fork`);
     ``max_explored_rules``
-        cap on rules instantiated/registered across the analysis.
+        cap on rules instantiated/registered, counted the same way.
 
     Any subset may be ``None`` (that dimension is unbounded).  The
     object is picklable, so matrix drivers ship it to pool workers and
@@ -380,11 +380,12 @@ def start_parse_meter(
 class BudgetMeter:
     """Mutable consumption state of one started :class:`Budget`.
 
-    One meter spans one logical analysis: several
-    :class:`~repro.tautomata.worklist.InhabitationEngine` instances
-    (factor fixpoints, the product level) share it so the caps bound
-    the *total* work of the verdict, not each phase separately.  Work a
-    verdict shares with others runs on a :meth:`fork`.
+    A verdict's meter counts the verdict's own work, its product level.
+    Each build a cache may share with other verdicts — a factor
+    fixpoint, a matrix row's factor — runs on a :meth:`fork` of its
+    own, so each shared build is capped on its own rather than one
+    meter spanning the whole analysis, and no verdict pays for a build
+    because it happened to run first.
     """
 
     __slots__ = ("budget", "states", "rules", "step_attempts", "_deadline", "_ticks")
@@ -404,9 +405,11 @@ class BudgetMeter:
     def fork(self) -> "BudgetMeter":
         """A meter with counts of its own and this meter's deadline.
 
-        Shared work (a matrix row's factor) is capped like any phase
-        without charging the verdict that happened to build it, while
-        the verdict's wall clock stays one.
+        Every shared build (each factor fixpoint, a matrix row's factor)
+        runs on a fork of its own: it is capped like the verdict's own
+        work without charging the verdict that happened to build it,
+        so a budgeted verdict does not depend on cell order, while the
+        verdict's wall clock stays one.
         """
         forked = BudgetMeter(self.budget)
         forked._deadline = self._deadline

@@ -12,7 +12,9 @@ automaton protocol:
 * ``size()`` -- number of states (for the Proposition 3 size study);
 * ``watch()`` -- a sound finite bound on the symbols the language can
   ever step on, as an index path plus a set (or ``None``, unknown):
-  the worklist engine skips every symbol outside it.
+  the worklist engine skips every symbol outside it;
+* ``admits(symbol)`` -- ``False`` when the watch bound rules ``symbol``
+  out (a product admits a symbol only when each of its leaves does).
 
 Symbols are hedge-automaton states (arbitrary hashable objects).  The
 instances cover everything the paper's constructions need: the shuffle
@@ -79,6 +81,21 @@ class HorizontalLanguage:
         per instance (automata outlive their fixpoints).
         """
         return None
+
+    def admits(self, symbol: Symbol) -> bool:
+        """Can this language ever step on ``symbol``?
+
+        ``False`` only when :meth:`watch` rules the symbol out, so it is
+        exactly as sound as the watch set: a word containing a symbol
+        the language does not admit is never accepted.
+        """
+        bound = self.watch()
+        if bound is None:
+            return True
+        path, symbols = bound
+        for index in path:
+            symbol = symbol[index]
+        return symbol in symbols
 
     # convenience ------------------------------------------------------
 
@@ -305,6 +322,16 @@ class ProductHorizontal(HorizontalLanguage):
                 inner, symbols = bound
                 return path + inner, symbols
         return None
+
+    def admits(self, symbol: Symbol) -> bool:
+        # every leaf must step, so every leaf's bound holds at once
+        for part, path in zip(self.parts, self.paths):
+            key = symbol
+            for index in path:
+                key = key[index]
+            if not part.admits(key):
+                return False
+        return True
 
     def initial(self) -> HState:
         return self._initial

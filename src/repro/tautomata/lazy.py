@@ -19,7 +19,10 @@ that style here:
 * :func:`explore_product` feeds the surviving candidate pairs through a
   ``combine`` callback (plain pairing for intersections, the flagged
   2-3-rule expansion for the Definition 6 product) into one shared
-  :class:`~repro.tautomata.worklist.InhabitationEngine`.
+  :class:`~repro.tautomata.worklist.InhabitationEngine`, and holds back
+  the rules that must read some state (the flagged product's "via one
+  flagged child" rules) until an inhabited such state is admitted by
+  both of the pair's horizontals.
 
 The worst case is unchanged — every pair may survive both filters, and
 then the engine does exactly the classical fixpoint, preserving the
@@ -134,6 +137,14 @@ class RuleIndex:
                 elif rule.labels.labels - spec.labels:
                     yield rule
 
+    def compatible_mask(self, spec: LabelSpec) -> int:
+        """The positions of :meth:`compatible`'s rules, as a bitset."""
+        mask = 0
+        for position, rule in enumerate(self.rules):
+            if not rule.labels.intersect(spec).is_empty():
+                mask |= 1 << position
+        return mask & self._live_mask
+
 
 @dataclasses.dataclass(frozen=True)
 class FactorAnalysis:
@@ -141,17 +152,36 @@ class FactorAnalysis:
 
     ``fireable`` are the rules that can fire at all (their state is
     inhabited *via this very rule*) under the factor's own fixpoint;
-    ``index`` is a :class:`RuleIndex` over exactly those rules.
+    ``index`` is a :class:`RuleIndex` over exactly those rules, in the
+    same order, so a rule's position is the same in both.
     """
 
     inhabited: frozenset[State]
     fireable: tuple[Rule, ...]
     index: RuleIndex
     rule_count: int  # rules before pruning (for worst-case accounting)
+    #: symbol -> :meth:`admitting` bitset, shared by every product
+    #: over this factor (a pure memo: a racing thread stores the same
+    #: bitset)
+    _admitting: dict = dataclasses.field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def pruned_rule_count(self) -> int:
         return len(self.fireable)
+
+    def admitting(self, symbol: State) -> int:
+        """The positions of the fireable rules whose horizontal admits
+        ``symbol``, as a bitset (tested once per symbol and factor)."""
+        mask = self._admitting.get(symbol)
+        if mask is None:
+            mask = 0
+            for position, rule in enumerate(self.fireable):
+                if rule.horizontal.admits(symbol):
+                    mask |= 1 << position
+            self._admitting[symbol] = mask
+        return mask
 
 
 def analyze_factor(
@@ -185,23 +215,28 @@ def analyze_factor(
 def memoized(
     cache: dict | None,
     key: Hashable,
-    build: Callable[[], FactorAnalysis],
+    build: Callable[[BudgetMeter | None], FactorAnalysis],
+    meter: BudgetMeter | None = None,
     tracer=None,
 ) -> FactorAnalysis:
     """``cache[key]``, built on a miss (always built without a cache).
 
-    A hit charges nothing against any meter — the work was done (and
-    billed) by whichever run populated the entry; a build aborted by
-    its meter raises before storing, so it leaves no entry behind.
+    ``build`` runs on its own :meth:`~repro.limits.BudgetMeter.fork` of
+    ``meter``: the same caps and deadline, with counts of its own.  So
+    the verdict that misses the cache is charged exactly what a later
+    hit is — nothing — and a budgeted verdict does not depend on which
+    verdict happened to run first.  A build the fork stops raises
+    before storing, so it leaves no entry behind.
     """
-    if cache is None:
-        return build()
-    analysis = cache.get(key)
-    if analysis is None:
-        analysis = build()
+    if cache is not None:
+        analysis = cache.get(key)
+        if analysis is not None:
+            if tracer is not None:
+                tracer.event("factor.cache_hit")
+            return analysis
+    analysis = build(None if meter is None else meter.fork())
+    if cache is not None:
         cache[key] = analysis
-    elif tracer is not None:
-        tracer.event("factor.cache_hit")
     return analysis
 
 
@@ -217,15 +252,16 @@ def cached_factor(
     The cache is keyed by the automaton *object* (identity hash), not
     its ``id()``: the entry's strong reference keeps the automaton
     alive, so a freed-and-reused address can never alias a stale
-    analysis onto a different automaton.  Hits and aborted builds
-    follow :func:`memoized`.
+    analysis onto a different automaton.  Metering, hits and aborted
+    builds follow :func:`memoized`.
     """
     return memoized(
         cache,
         (automaton, typed),
-        lambda: analyze_factor(
-            automaton, typed=typed, meter=meter, tracer=tracer
+        lambda fork: analyze_factor(
+            automaton, typed=typed, meter=fork, tracer=tracer
         ),
+        meter,
         tracer,
     )
 
@@ -291,8 +327,56 @@ class ProductExploration:
 Combine = Callable[[Rule, Rule], Iterable[Rule]]
 
 
-#: ``(late, unlocks)``: rules held back until a state ``unlocks`` fires
-Deferral = tuple[Combine, Callable[[State], bool]]
+#: ``(late, reads)``: rules held back until an inhabited state can feed
+#: them; ``reads(state)`` is the (left, right) symbol pair the late rules'
+#: component horizontals would read in ``state``, or ``None`` when no
+#: late rule can read it
+Deferral = tuple[Combine, Callable[[State], tuple[State, State] | None]]
+
+
+class _HeldPairs:
+    """The label-compatible factor rule pairs whose late rules wait.
+
+    A symbol pair ``(l, r)`` admits a pair when the left rule's
+    horizontal admits ``l`` and the right rule's admits ``r``.  Each
+    factor rule is tested once per distinct symbol, into a bitset over
+    its factor's rules (:meth:`FactorAnalysis.admitting`), so releasing
+    a pair costs a bit operation and never an
+    :meth:`~repro.tautomata.horizontal.HorizontalLanguage.admits` call
+    of its own.
+    """
+
+    def __init__(self, left: FactorAnalysis, right: FactorAnalysis) -> None:
+        self.left = left
+        self.right = right
+        #: left position -> the compatible right positions still held
+        self._held: dict[int, int] = {}
+
+    def release(
+        self, left_symbol: State, right_symbol: State
+    ) -> Iterator[tuple[Rule, Rule]]:
+        """Yield, once each, the held pairs the two symbols admit."""
+        rights = self.right.admitting(right_symbol)
+        if not rights:
+            return
+        lefts = self.left.admitting(left_symbol)
+        left_rules = self.left.fireable
+        right_rules = self.right.fireable
+        held = self._held
+        while lefts:
+            low = lefts & -lefts
+            lefts ^= low
+            position = low.bit_length() - 1
+            left_rule = left_rules[position]
+            waiting = held.get(position)
+            if waiting is None:
+                waiting = self.right.index.compatible_mask(left_rule.labels)
+            released = waiting & rights
+            held[position] = waiting ^ released
+            while released:
+                bit = released & -released
+                released ^= bit
+                yield left_rule, right_rules[bit.bit_length() - 1]
 
 
 def explore_product(
@@ -314,12 +398,17 @@ def explore_product(
     itself decline a pair).  Everything else — incremental frontiers,
     typing, witness words — is the shared worklist engine.
 
-    ``deferred = (late, unlocks)`` holds back the ``late`` rules of
-    every pair, for rules that cannot fire before some state satisfying
-    ``unlocks`` is inhabited.  They join the engine after the first
-    fixpoint, and only if it inhabited such a state; the engine catches
-    a late rule up on every inhabited symbol, so the least fixpoint is
-    the one of all rules added at once.
+    ``deferred = (late, reads)`` holds back the ``late`` rules of every
+    pair, for rules whose children word must contain a state ``reads``
+    accepts.  After each fixpoint, every newly inhabited such state
+    ``s`` releases the held pairs whose left rule's horizontal admits
+    ``reads(s)[0]`` and whose right rule's admits ``reads(s)[1]``; their
+    late rules join the engine, which re-runs, until a round releases
+    nothing.  A late rule is built only for a pair some inhabited state
+    admits: the watch sets behind ``admits`` are sound, so a pair no
+    inhabited state is admitted by could never fire, and the engine
+    catches a late rule up on every inhabited symbol — the least
+    fixpoint is the one of all rules added at once.
     """
     if tracer is None:
         tracer = NOOP_TRACER
@@ -330,18 +419,28 @@ def explore_product(
             track_rules=track_rules,
             meter=meter,
         )
-
-        def add_pairs(rules_of: Combine) -> None:
-            for left_rule in left.fireable:
-                for right_rule in right.index.compatible(left_rule.labels):
-                    engine.add_rules(rules_of(left_rule, right_rule))
-            engine.run()
-
-        add_pairs(combine)
+        for left_rule in left.fireable:
+            for right_rule in right.index.compatible(left_rule.labels):
+                engine.add_rules(combine(left_rule, right_rule))
+        engine.run()
         if deferred is not None:
-            late, unlocks = deferred
-            if any(unlocks(state) for state in engine.firings):
-                add_pairs(late)
+            late, reads = deferred
+            held = _HeldPairs(left, right)
+            seen = 0
+            while True:
+                states = list(engine.firings)
+                released = False
+                for state in states[seen:]:
+                    symbols = reads(state)
+                    if symbols is None:
+                        continue
+                    for left_rule, right_rule in held.release(*symbols):
+                        engine.add_rules(late(left_rule, right_rule))
+                        released = True
+                seen = len(states)
+                if not released:
+                    break
+                engine.run()
         stats = ExplorationStats(
             explored_states=engine.explored_states(),
             explored_rules=engine.rule_count,

@@ -1,6 +1,6 @@
 """Budgeted runs of the criterion: UNKNOWN semantics and determinism.
 
-Three properties pin down the degradation layer:
+Four properties pin down the degradation layer:
 
 * **non-interference** — ``budget=None`` and a generous budget both
   reproduce the unbounded verdict exactly (the meter only observes);
@@ -8,6 +8,9 @@ Three properties pin down the degradation layer:
   counter points, so the same instance under the same cap yields the
   same UNKNOWN snapshot on every run (only deadline snapshots may
   vary);
+* **order independence** — a budgeted matrix cell gets the same
+  verdict whichever cell ran first, so a resumed, drifted or permuted
+  matrix agrees with a cold one;
 * **soundness routing** — an UNKNOWN result reports
   ``needs_revalidation`` and the router in
   :mod:`repro.independence.revalidate` actually takes the fallback.
@@ -24,9 +27,11 @@ from repro.independence.criterion import (
     Verdict,
     check_independence,
 )
+from repro.independence.matrix import check_independence_matrix
 from repro.independence.views import check_view_independence
 from repro.limits import Budget, DEADLINE, RULE_CAP, STATE_CAP
 from tests.independence.test_lazy_criterion import _random_triple
+from tests.independence.test_matrix import _schema, _workload
 
 TINY = Budget(max_explored_states=3, max_explored_rules=3)
 GENEROUS = Budget(
@@ -160,6 +165,33 @@ class TestDeterminism:
                 break
         else:
             pytest.fail("a 10^6 state/rule cap should decide any test triple")
+
+
+class TestCellOrder:
+    @pytest.mark.parametrize("with_schema", (False, True))
+    @pytest.mark.parametrize("seed", (0, 1, 4, 7))
+    def test_budgeted_matrix_equals_its_column_reversed_twin(
+        self, seed, with_schema
+    ):
+        """A cell's budgeted verdict does not depend on which cell built
+        the factors it shares: every shared build runs on a fork of its
+        own, so a reversed column order meets the same caps."""
+        fds, update_classes = _workload(seed, rows=3, columns=3)
+        schema = _schema() if with_schema else None
+        for cap in range(5, 78, 3):
+            budget = Budget(max_explored_rules=cap)
+            forward = check_independence_matrix(
+                fds, update_classes, schema=schema, budget=budget
+            )
+            reversed_ = check_independence_matrix(
+                fds, update_classes[::-1], schema=schema, budget=budget
+            )
+            assert [
+                [cell.verdict for cell in row] for row in forward.cells
+            ] == [
+                [cell.verdict for cell in row[::-1]]
+                for row in reversed_.cells
+            ], cap
 
 
 class TestFallbackRouting:

@@ -19,6 +19,7 @@ from repro.independence.matrix import check_independence_matrix
 from repro.independence.views import check_view_independence
 from repro.obs.trace import InMemorySpanCollector, Tracer, installed_tracer
 from repro.schema.dtd import Schema
+from repro.tautomata import lazy
 from repro.workload.random_patterns import (
     random_functional_dependency,
     random_pattern,
@@ -95,53 +96,125 @@ class TestWitnessEquivalence:
 
 
 class TestDeferredFlagRules:
-    """The flag 1 "via one flagged child" rules join the cell product
-    only once a designation has fired."""
+    """A (left rule, u rule) pair's flag 1 "via one flagged child" rule
+    is built only once an inhabited flagged state is admitted by both
+    rules' horizontals."""
 
     def _explore(self, monkeypatch, seed):
-        """One lazy exploration, with the flag-1-via-child rules it built
-        and the cell product's firings."""
-        built, firings = [], []
+        """One lazy exploration: the via-child pairs it built, each with
+        the states inhabited when it was built, and the cell product's
+        factors and firings."""
+        built, products, engines = [], [], []
         combines = language.flagged_combines
         explore_product = language.explore_product
+
+        class RecordingEngine(lazy.InhabitationEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self)
 
         def counting_combines(*args):
             unflagged, one_flagged = combines(*args)
 
             def counted(left_rule, u_rule):
-                for rule in one_flagged(left_rule, u_rule):
-                    built.append(rule)
-                    yield rule
+                # the cell product's engine is the last one started
+                built.append((left_rule, u_rule, list(engines[-1].firings)))
+                yield from one_flagged(left_rule, u_rule)
 
             return unflagged, counted
 
-        def recording_explore(*args, **kwargs):
-            exploration = explore_product(*args, **kwargs)
-            firings.append(exploration.engine.firings)
+        def recording_explore(left, right, *args, **kwargs):
+            exploration = explore_product(left, right, *args, **kwargs)
+            products.append((left, right, exploration.engine.firings))
             return exploration
 
+        monkeypatch.setattr(lazy, "InhabitationEngine", RecordingEngine)
         monkeypatch.setattr(language, "flagged_combines", counting_combines)
         monkeypatch.setattr(language, "explore_product", recording_explore)
         fd, update_class, schema = _random_triple(seed)
         outcome = dangerous_language(
             fd, update_class, schema, materialize=False
         ).explore(want_witness=True)
-        return outcome, built, firings[-1]
+        return outcome, built, products[-1]
 
     def test_rules_wait_for_a_designation(self, monkeypatch):
-        undesignated = dependent = 0
+        """Each pair's rule waits for a flagged child (so for a
+        designation below it) that both of its horizontals admit."""
+        held = dependent = 0
         for seed in range(40):
-            outcome, built, firings = self._explore(monkeypatch, seed)
+            outcome, built, (left, right, firings) = self._explore(
+                monkeypatch, seed
+            )
+            pairs = [(id(rule), id(u_rule)) for rule, u_rule, _ in built]
+            assert len(set(pairs)) == len(pairs), seed
+            for left_rule, u_rule, inhabited in built:
+                assert _admitted(left_rule, u_rule, inhabited), seed
+            # and the gate missed none: every compatible pair some
+            # inhabited flagged state admits got its rule
+            compatible = [
+                (left_rule, u_rule)
+                for left_rule in left.fireable
+                for u_rule in right.index.compatible(left_rule.labels)
+            ]
+            admitted = {
+                (id(left_rule), id(u_rule))
+                for left_rule, u_rule in compatible
+                if _admitted(left_rule, u_rule, firings)
+            }
+            assert set(pairs) == admitted, seed
             designated = any(state[2] == 1 for state in firings)
-            assert bool(built) == designated, seed
-            undesignated += not designated
+            held += designated and len(admitted) < len(compatible)
             if not outcome.empty:
                 dependent += 1
                 fd, update_class, schema = _random_triple(seed)
                 eager = dangerous_language(fd, update_class, schema)
                 assert eager.automaton.accepts(outcome.witness), seed
-        # both branches were exercised
-        assert undesignated and dependent
+        # designated cells held pairs back, and dependent cells occurred
+        assert held and dependent
+
+
+def _admitted(left_rule, u_rule, states) -> bool:
+    """Does an inhabited flagged child admit the pair's horizontals?"""
+    return any(
+        state[2] == 1
+        and left_rule.horizontal.admits(state[0])
+        and u_rule.horizontal.admits(state[1])
+        for state in states
+    )
+
+
+class TestGatedLeastFixpoint:
+    """The admission gate reaches the least fixpoint of adding every
+    flagged rule at once: the same states, from fewer rules."""
+
+    @pytest.mark.parametrize("with_schema", (False, True))
+    @pytest.mark.parametrize("seed", range(60))
+    def test_gated_cell_inhabits_what_all_rules_do(self, seed, with_schema):
+        fd, update_class, schema = _random_triple(seed)
+        if not with_schema:
+            schema = None
+        elif schema is None:
+            schema = _random_schema(random.Random(seed))
+        fd_automaton, update_automaton, schema_hedge = (
+            language.dangerous_factors(fd.pattern, update_class, schema)
+        )
+        left = language.row_factor(fd_automaton, schema_hedge)
+        right = lazy.cached_factor(update_automaton.automaton)
+        unflagged, one_flagged = language.flagged_combines(
+            fd_automaton, update_automaton, with_schema
+        )
+        gated = lazy.explore_product(
+            left, right, combine=unflagged,
+            deferred=(one_flagged, language._flagged_child),
+        )
+        at_once = lazy.explore_product(
+            left, right,
+            combine=language._all_flagged_rules(
+                fd_automaton, update_automaton, with_schema
+            ),
+        )
+        assert gated.engine.firings.keys() == at_once.engine.firings.keys()
+        assert gated.stats.explored_rules <= at_once.stats.explored_rules
 
 
 class TestRowFactor:

@@ -90,7 +90,12 @@ class TestCellClock:
         must not show up in ``elapsed_seconds`` — that figure feeds the
         bench ratios and the pool's cell-cost model, both of which must
         measure the *analysis*, not the persistence layer.
+
+        The cyclic garbage collector is paused around the run: a full
+        collection of the session's allocation history can outlast the
+        bound by itself, and would land in whichever cell it started in.
         """
+        import gc
         import time as time_module
 
         from repro.independence import pool
@@ -116,10 +121,16 @@ class TestCellClock:
         def slow_journal(cell):
             time_module.sleep(sleep_seconds)
 
-        rows = _explore_rows(
-            [fd.pattern for fd in fds], 0, shared, "auto", False,
-            on_cell=slow_journal,
-        )
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            rows = _explore_rows(
+                [fd.pattern for fd in fds], 0, shared, "auto", False,
+                on_cell=slow_journal,
+            )
+        finally:
+            if collecting:
+                gc.enable()
         for row in rows:
             for cell in row:
                 assert cell.elapsed_seconds < sleep_seconds

@@ -101,6 +101,12 @@ class TestRuleIndex:
             found = [id(rule) for rule in index.compatible(probe)]
             assert len(found) == len(set(found))  # no duplicates
             assert set(found) == expected
+            mask = index.compatible_mask(probe)
+            assert {
+                id(rule)
+                for position, rule in enumerate(rules)
+                if (mask >> position) & 1
+            } == expected
 
 
 class TestCachedFactor:
