@@ -120,9 +120,7 @@ def _wide_schema(width: int) -> Schema:
 def _measure_eager_seed(fd, update_class, schema=None):
     """Time the seed pipeline: full product + restart-loop fixpoint."""
     started = time.perf_counter()
-    language = dangerous_language(
-        fd, update_class, schema=schema, materialize=True
-    )
+    language = dangerous_language(fd, update_class, schema=schema)
     automaton = language.automaton
     inhabited = typed_inhabited_states_reference(automaton)
     empty = not (inhabited & automaton.accepting)
@@ -341,7 +339,7 @@ def bench_t3_report(benchmark):
         )
         lazy_independent = lazy_result.independent
         exploration = lazy_result.exploration
-        registry.absorb_result(lazy_result)
+        registry.absorb_cell(lazy_result)
         assert lazy_independent == eager_empty, name
         # lazy explores strictly less than the eager construction builds
         assert exploration.explored_states < eager_rules, name

@@ -7,8 +7,11 @@ and prints:
 * a per-phase breakdown — total *self* time per span name (time inside
   a span minus time inside its child spans, so phases never double
   count) with call counts and percentage of the traced total;
-* the top-k slowest ``matrix.cell`` spans with their verdict and
-  explored-vs-worst-case attributes (``--cells K``, default 5).
+* the top-k slowest cell spans — ``matrix.cell``, and the per-pair
+  ``ic.check`` / ``view.check`` spans, which carry the same outcome
+  attributes — with their verdict, strategy and explored-vs-worst-case
+  rules, unknown reason or eager automaton size (``--cells K``,
+  default 5).
 
 Usage::
 
@@ -50,11 +53,13 @@ def self_times(records: list[dict]) -> dict[str, dict]:
     return phases
 
 
+#: the spans that decide one cell, each carrying the cell's outcome
+CELL_SPANS = frozenset({"matrix.cell", "ic.check", "view.check"})
+
+
 def slowest_cells(records: list[dict], top_k: int) -> list[dict]:
-    """The ``matrix.cell`` spans, slowest first, attribute-annotated."""
-    cells = [
-        record for record in records if record["name"] == "matrix.cell"
-    ]
+    """The cell spans, slowest first, attribute-annotated."""
+    cells = [record for record in records if record["name"] in CELL_SPANS]
     cells.sort(key=lambda record: record["duration_ns"] or 0, reverse=True)
     return cells[:top_k]
 
@@ -81,12 +86,18 @@ def build_report(records: list[dict], top_k: int = 5) -> dict:
         attributes = record.get("attributes", {})
         cell_rows.append(
             {
+                "name": record["name"],
                 "row": attributes.get("row"),
                 "column": attributes.get("column"),
+                "fd": attributes.get("fd"),
+                "update_class": attributes.get("update_class"),
                 "verdict": attributes.get("verdict"),
+                "strategy": attributes.get("strategy"),
                 "duration_ms": (record["duration_ns"] or 0) / 1e6,
                 "explored_rules": attributes.get("explored_rules"),
                 "worst_case_rules": attributes.get("worst_case_rules"),
+                "unknown_reason": attributes.get("unknown_reason"),
+                "automaton_size": attributes.get("automaton_size"),
             }
         )
     return {
@@ -113,19 +124,27 @@ def render(report: dict) -> str:
         )
     if report["slowest_cells"]:
         lines.append("")
-        lines.append("slowest matrix cells:")
+        lines.append("slowest cells:")
         for cell in report["slowest_cells"]:
-            explored = (
-                ""
-                if cell["explored_rules"] is None
-                else (
+            if cell["name"] == "matrix.cell":
+                label = f"cell({cell['row']},{cell['column']})"
+            else:
+                subject = cell["fd"] or "view"
+                label = f"{cell['name']}({subject}, {cell['update_class']})"
+            if cell["explored_rules"] is not None:
+                detail = (
                     f" explored {cell['explored_rules']}"
                     f"/{cell['worst_case_rules']} rules"
                 )
-            )
+            elif cell["unknown_reason"] is not None:
+                detail = f" budget exhausted ({cell['unknown_reason']})"
+            elif cell["automaton_size"] is not None:
+                detail = f" |A|={cell['automaton_size']}"
+            else:
+                detail = ""
             lines.append(
-                f"  cell({cell['row']},{cell['column']}) "
-                f"{cell['verdict']}: {cell['duration_ms']:.2f} ms{explored}"
+                f"  {label} {cell['verdict']} [{cell['strategy']}]: "
+                f"{cell['duration_ms']:.2f} ms{detail}"
             )
     return "\n".join(lines)
 
@@ -140,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=5,
         metavar="K",
-        help="how many slowest matrix cells to show (default: 5)",
+        help="how many slowest cells to show (default: 5)",
     )
     parser.add_argument(
         "--json",

@@ -291,7 +291,7 @@ def _run_independence(args: argparse.Namespace) -> int:
     )
     print(result.describe())
     if registry is not None:
-        registry.absorb_result(result)
+        registry.absorb_cell(result)
         registry.absorb_caches()
         _print_metrics(registry)
     if args.cache_stats:

@@ -1,7 +1,7 @@
 """Brute-force impact search over bounded document spaces.
 
 Ground truth for the precision/soundness study (T4): the criterion IC is
-*sufficient* — it may answer UNKNOWN for pairs that are in fact
+*sufficient* — it may answer POSSIBLY_DEPENDENT for pairs that are in fact
 independent, but it must never certify a pair that some document and
 update can break.  This module searches small document spaces
 exhaustively for an impact witness:

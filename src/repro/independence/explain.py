@@ -1,8 +1,9 @@
-"""Turning UNKNOWN verdicts into concrete evidence (or reassurance).
+"""Turning POSSIBLY_DEPENDENT verdicts into concrete evidence (or
+reassurance).
 
-The criterion IC is sufficient but not complete: an UNKNOWN verdict only
-says a document exists where an update *touches* the FD's dangerous
-region.  This module pushes the diagnosis one step further: starting
+The criterion IC is sufficient but not complete: a POSSIBLY_DEPENDENT
+verdict only says a document exists where an update *touches* the FD's
+dangerous region.  This module pushes the diagnosis one step further: starting
 from the criterion's witness document, it searches bounded label-
 preserving replacements at the update-selected nodes for an *actual*
 impact — a pair (document, update) where the FD flips from satisfied to
@@ -11,7 +12,7 @@ violated.
 Outcomes:
 
 * an :class:`ImpactDemonstration` — the pair, dynamically verified: the
-  UNKNOWN was a true positive;
+  POSSIBLY_DEPENDENT verdict was a true positive;
 * ``None`` — no impact within the search bounds; the pair *may* still be
   independent (IC's incompleteness), and the caller can widen the bounds
   or fall back to runtime revalidation.
@@ -93,10 +94,11 @@ def demonstrate_impact(
     values: Sequence[str] = ("0", "1"),
     max_attempts: int = 2000,
 ) -> ImpactDemonstration | None:
-    """Search for a concrete impact behind an UNKNOWN verdict.
+    """Search for a concrete impact behind a POSSIBLY_DEPENDENT verdict.
 
     Only meaningful when ``result.witness`` is present; raises
-    ``ValueError`` on INDEPENDENT results.
+    ``ValueError`` on INDEPENDENT results, and on UNKNOWN ones (a
+    budget-exhausted run carries no witness).
     """
     if result.independent:
         raise ValueError("nothing to demonstrate: the pair is independent")

@@ -39,9 +39,10 @@ explores them with the worklist fixpoint; it is the decision path.  The
 ``A_S × B`` with ``B = A_FD ⊗ A_U`` literally — the T2 size study
 measures it, and the differential suites use it as an independent
 reference.  Both build their flagged rules with
-:func:`flagged_combines`.  :class:`DangerousLanguage` materializes its
-eager automata on first attribute access, so the lazy criterion never
-pays for them.
+:func:`flagged_combines`.  :class:`DangerousLanguage` holds the eager
+automata for the size studies; the criterion decides through
+:func:`~repro.independence.criterion.decide_cell`, which builds them
+only under ``strategy="eager"``.
 
 As in the paper, the construction requires the update class to select a
 leaf of its template (otherwise the "the update trace survives the
@@ -270,95 +271,49 @@ def dangerous_factors(
 
 @dataclasses.dataclass
 class DangerousLanguage:
-    """The automaton for ``L`` plus its ingredients (for size studies).
-
-    The eager products (``flagged_product`` and the final ``automaton``)
-    are materialized on first access, so lazy exploration of the same
-    language never constructs them.
-    """
+    """The eager automaton for ``L`` plus its ingredients, for the size
+    studies (T2, T3, T9)."""
 
     fd: FunctionalDependency
     update_class: UpdateClass
     schema: Schema | None
     fd_automaton: PatternAutomaton
     update_automaton: PatternAutomaton
-    schema_automaton: HedgeAutomaton | None = None
-    _flagged: HedgeAutomaton | None = dataclasses.field(
-        default=None, repr=False
-    )
-    _final: HedgeAutomaton | None = dataclasses.field(default=None, repr=False)
-
-    @property
-    def flagged_product(self) -> HedgeAutomaton:
-        """The eager flagged product ``B`` (built on demand)."""
-        if self._flagged is None:
-            self._flagged = _flagged_product(
-                self.fd_automaton, self.update_automaton
-            )
-        return self._flagged
-
-    @property
-    def automaton(self) -> HedgeAutomaton:
-        """The eager final ``A`` (``B``, or ``A_S × B`` under a schema)."""
-        if self._final is None:
-            if self.schema_automaton is None:
-                self._final = self.flagged_product
-            else:
-                self._final = product_automaton(
-                    self.schema_automaton, self.flagged_product, name="A_S×B"
-                )
-        return self._final
+    schema_automaton: HedgeAutomaton | None
+    #: the flagged product ``B``
+    flagged_product: HedgeAutomaton
+    #: the final ``A``: ``B``, or ``A_S × B`` under a schema
+    automaton: HedgeAutomaton
 
     def size(self) -> int:
         """Size of the final automaton (tracked against Prop. 3)."""
         return self.automaton.size()
-
-    def explore(
-        self,
-        want_witness: bool = False,
-        factor_cache: dict | None = None,
-        meter: "BudgetMeter | None" = None,
-        tracer=None,
-    ) -> "DangerousExploration":
-        """Lazy emptiness of ``L`` (never builds the eager products)."""
-        return explore_dangerous_factors(
-            self.fd_automaton,
-            self.update_automaton,
-            self.schema_automaton,
-            want_witness=want_witness,
-            factor_cache=factor_cache,
-            meter=meter,
-            tracer=tracer,
-        )
 
 
 def dangerous_language(
     fd: FunctionalDependency,
     update_class: UpdateClass,
     schema: Schema | None = None,
-    materialize: bool = True,
-    tracer=None,
 ) -> DangerousLanguage:
-    """Build the automaton recognizing ``L`` (Definition 6).
-
-    With ``materialize=False`` only the factors are constructed; the
-    eager products stay virtual until accessed (the lazy criterion path
-    never does).
-    """
+    """Build the automaton recognizing ``L`` (Definition 6)."""
     fd_automaton, update_automaton, schema_hedge = dangerous_factors(
-        fd.pattern, update_class, schema, pattern_name="A_FD", tracer=tracer
+        fd.pattern, update_class, schema, pattern_name="A_FD"
     )
-    language = DangerousLanguage(
+    flagged = _flagged_product(fd_automaton, update_automaton)
+    return DangerousLanguage(
         fd=fd,
         update_class=update_class,
         schema=schema,
         fd_automaton=fd_automaton,
         update_automaton=update_automaton,
         schema_automaton=schema_hedge,
+        flagged_product=flagged,
+        automaton=(
+            flagged
+            if schema_hedge is None
+            else product_automaton(schema_hedge, flagged, name="A_S×B")
+        ),
     )
-    if materialize:
-        language.automaton  # force the eager products now
-    return language
 
 
 @dataclasses.dataclass

@@ -69,19 +69,18 @@ from collections.abc import Sequence
 from repro.errors import IndependenceError, ReproError
 from repro.fd.fd import FunctionalDependency
 from repro.independence import pool
-from repro.independence.criterion import LAZY, Verdict
-from repro.independence.language import (
-    eager_automaton,
-    explore_dangerous_factors,
-    forget_row,
-    validate_update_class,
+from repro.independence.criterion import (
+    Verdict,
+    VerdictFlags,
+    cell_attributes,
+    decide_cell,
 )
-from repro.independence.strategy import AUTO, EAGER, STRATEGIES
-from repro.limits import Budget, BudgetExceeded, PartialStats
+from repro.independence.language import forget_row, validate_update_class
+from repro.independence.strategy import AUTO, resolve_strategy
+from repro.limits import Budget, PartialStats
 from repro.obs.trace import NOOP_TRACER, current_tracer
 from repro.pattern.template import RegularTreePattern
 from repro.schema.dtd import Schema
-from repro.tautomata.emptiness import automaton_is_empty_typed, witness_document
 from repro.tautomata.from_pattern import trace_automaton
 from repro.tautomata.lazy import ExplorationStats
 from repro.update.update_class import UpdateClass
@@ -99,7 +98,7 @@ DEFAULT_CHECKPOINT_SNAPSHOT_EVERY = 64
 
 
 @dataclasses.dataclass
-class MatrixCell:
+class MatrixCell(VerdictFlags):
     """One (FD, update-class) verdict inside a matrix run.
 
     ``partial`` carries the explored-so-far counters when the cell's
@@ -114,15 +113,6 @@ class MatrixCell:
     exploration: ExplorationStats | None = None
     witness: XMLDocument | None = None
     partial: PartialStats | None = None
-
-    @property
-    def independent(self) -> bool:
-        return self.verdict is Verdict.INDEPENDENT
-
-    @property
-    def decided(self) -> bool:
-        """True when the cell ran to completion (either boolean)."""
-        return self.verdict is not Verdict.UNKNOWN
 
 
 def _witness_to_json(document: XMLDocument) -> list:
@@ -481,7 +471,7 @@ def _explore_rows(
     update_automata = shared.update_automata
     schema_hedge = shared.schema_hedge
     factor_cache = shared.factor_cache
-    cell_strategy = LAZY if strategy == AUTO else strategy
+    cell_strategy = resolve_strategy(strategy)
     rows: list[list[MatrixCell | None]] = []
     for local_row, pattern in enumerate(patterns):
         with tracer.span("construct.trace_automaton"):
@@ -505,76 +495,28 @@ def _explore_rows(
                     if budget is None or budget.unbounded
                     else budget.start()
                 )
-                exploration = None
-                witness = None
-                partial = None
-                try:
-                    if cell_strategy == LAZY:
-                        outcome = explore_dangerous_factors(
-                            pattern_automaton,
-                            update_automaton,
-                            schema_hedge,
-                            want_witness=want_witness,
-                            factor_cache=factor_cache,
-                            meter=meter,
-                            tracer=tracer,
-                        )
-                        empty = outcome.empty
-                        witness = outcome.witness
-                        exploration = outcome.stats
-                    else:
-                        if meter is not None:
-                            meter.check_deadline()
-                        automaton = eager_automaton(
-                            pattern_automaton, update_automaton, schema_hedge
-                        )
-                        if meter is not None:
-                            meter.check_deadline()
-                        if want_witness:
-                            witness = witness_document(automaton, meter=meter)
-                            empty = witness is None
-                        else:
-                            empty = automaton_is_empty_typed(
-                                automaton, meter=meter
-                            )
-                    verdict = (
-                        Verdict.INDEPENDENT
-                        if empty
-                        else Verdict.POSSIBLY_DEPENDENT
-                    )
-                except BudgetExceeded as signal:
-                    verdict = Verdict.UNKNOWN
-                    partial = signal.partial
-                    witness = None
-                    exploration = None
+                outcome = decide_cell(
+                    pattern_automaton, update_automaton, schema_hedge,
+                    cell_strategy, want_witness, meter, factor_cache, tracer,
+                )
                 cell = MatrixCell(
                     row=row_offset + local_row,
                     column=column,
-                    verdict=verdict,
+                    verdict=outcome.verdict,
                     elapsed_seconds=time.perf_counter() - started,
-                    exploration=exploration,
-                    witness=witness,
-                    partial=partial,
+                    exploration=outcome.exploration,
+                    witness=outcome.witness,
+                    partial=outcome.partial,
                 )
                 if cell_span.enabled:
                     cell_span.set_attribute("row", cell.row)
                     cell_span.set_attribute("column", cell.column)
-                    cell_span.set_attribute("verdict", verdict.value)
-                    cell_span.set_attribute("strategy", cell_strategy)
                     cell_span.set_attribute(
                         "elapsed_ms", cell.elapsed_seconds * 1000.0
                     )
-                    if exploration is not None:
-                        cell_span.set_attribute(
-                            "explored_rules", exploration.explored_rules
-                        )
-                        cell_span.set_attribute(
-                            "worst_case_rules", exploration.worst_case_rules
-                        )
-                    if partial is not None:
-                        cell_span.set_attribute(
-                            "unknown_reason", partial.reason
-                        )
+                    cell_span.attributes.update(
+                        cell_attributes(cell, cell_strategy)
+                    )
                 row.append(cell)
                 if on_cell is not None:
                     # inside the span: checkpoint.journal nests under
@@ -642,7 +584,7 @@ def _rows_worker(payload: tuple) -> "list[list[MatrixCell]] | _WorkerFailure":
         )
 
 
-def _record_worker_cell_spans(tracer, rows) -> None:
+def _record_worker_cell_spans(tracer, rows, strategy: str) -> None:
     """Re-emit worker-computed cells as parent-side synthetic spans.
 
     Pool workers run with the no-op tracer (exporter handles do not
@@ -663,17 +605,10 @@ def _record_worker_cell_spans(tracer, rows) -> None:
             attributes = {
                 "row": cell.row,
                 "column": cell.column,
-                "verdict": cell.verdict.value,
                 "elapsed_ms": cell.elapsed_seconds * 1000.0,
                 "worker": True,
+                **cell_attributes(cell, strategy),
             }
-            if cell.exploration is not None:
-                attributes["explored_rules"] = cell.exploration.explored_rules
-                attributes["worst_case_rules"] = (
-                    cell.exploration.worst_case_rules
-                )
-            if cell.partial is not None:
-                attributes["unknown_reason"] = cell.partial.reason
             tracer.record_span(
                 "matrix.cell",
                 int(cell.elapsed_seconds * 1e9),
@@ -760,6 +695,7 @@ def _run_chunks_with_recovery(
     serial_for,
     jobs: int,
     worker_timeout_seconds: float | None,
+    cell_strategy: str,
     on_chunk=None,
     tracer=None,
 ) -> tuple[dict[int, list[list[MatrixCell]]], int]:
@@ -874,7 +810,9 @@ def _run_chunks_with_recovery(
                             # its future lands — a later crash
                             # replays them
                             on_chunk(rows)
-                        _record_worker_cell_spans(tracer, rows)
+                        _record_worker_cell_spans(
+                            tracer, rows, cell_strategy
+                        )
                     if broken or failure is not None:
                         break
             finally:
@@ -1064,11 +1002,7 @@ def _check_matrix(
     worker_log_path: str | None = None,
     tracer=None,
 ) -> IndependenceMatrix:
-    if strategy not in STRATEGIES:
-        raise IndependenceError(
-            f"unknown independence strategy {strategy!r}; "
-            f"expected {AUTO!r}, {LAZY!r} or {EAGER!r}"
-        )
+    cell_strategy = resolve_strategy(strategy)
     if not patterns or not update_classes:
         raise IndependenceError(
             "an independence matrix needs at least one FD/view and one "
@@ -1221,7 +1155,8 @@ def _check_matrix(
             try:
                 results, faults = _run_chunks_with_recovery(
                     chunks, payload_for, serial_for, jobs,
-                    worker_timeout_seconds, on_chunk=on_chunk, tracer=tracer,
+                    worker_timeout_seconds, cell_strategy,
+                    on_chunk=on_chunk, tracer=tracer,
                 )
             finally:
                 pool.release_context(token)

@@ -13,9 +13,25 @@
 
 from __future__ import annotations
 
+from repro.errors import IndependenceError
+
 LAZY = "lazy"
 EAGER = "eager"
 AUTO = "auto"
 
 #: every strategy an entry point accepts
 STRATEGIES = (AUTO, LAZY, EAGER)
+
+
+def resolve_strategy(strategy: str) -> str:
+    """The strategy a cell runs: ``"auto"`` becomes ``"lazy"``.
+
+    Raises :class:`~repro.errors.IndependenceError` for anything that
+    is not one of :data:`STRATEGIES`.
+    """
+    if strategy not in STRATEGIES:
+        raise IndependenceError(
+            f"unknown independence strategy {strategy!r}; "
+            f"expected {AUTO!r}, {LAZY!r} or {EAGER!r}"
+        )
+    return LAZY if strategy == AUTO else strategy

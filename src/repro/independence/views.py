@@ -28,72 +28,29 @@ shares the factor automata and fixpoints across cells.
 from __future__ import annotations
 
 import dataclasses
-import time
 
-from repro.errors import IndependenceError
-from repro.independence.criterion import EAGER, LAZY, Verdict
-from repro.independence.language import (
-    dangerous_factors,
-    eager_automaton,
-    explore_dangerous_factors,
-)
-from repro.independence.strategy import AUTO, STRATEGIES
-from repro.limits import Budget, BudgetExceeded, PartialStats
+from repro.independence.criterion import CellOutcome, _check_pair
+from repro.independence.language import dangerous_factors, eager_automaton
+from repro.independence.strategy import AUTO
+from repro.limits import Budget
 from repro.obs.metrics import format_stats
-from repro.obs.trace import current_tracer
 from repro.pattern.template import RegularTreePattern
 from repro.schema.dtd import Schema
-from repro.tautomata.emptiness import (
-    automaton_is_empty_typed,
-    witness_document,
-)
 from repro.tautomata.hedge import HedgeAutomaton
-from repro.tautomata.lazy import ExplorationStats
 from repro.update.update_class import UpdateClass
-from repro.xmlmodel.tree import XMLDocument
 
 
-@dataclasses.dataclass
-class ViewIndependenceResult:
-    """Verdict of the view-update criterion.
+@dataclasses.dataclass(kw_only=True)
+class ViewIndependenceResult(CellOutcome):
+    """Verdict of the view-update criterion: the cell's
+    :class:`~repro.independence.criterion.CellOutcome` plus the pair it
+    decided, its budget and its wall time."""
 
-    ``automaton`` is the eager product when ``strategy="eager"`` and
-    ``None`` under the lazy exploration (which never materializes it);
-    ``automaton_size`` accordingly reports the full or the explored
-    size, with ``exploration`` carrying the worst-case accounting.
-    """
-
-    verdict: Verdict
     view: RegularTreePattern
     update_class: UpdateClass
     schema: Schema | None
-    automaton: HedgeAutomaton | None
-    witness: XMLDocument | None
-    automaton_size: int
     elapsed_seconds: float
-    strategy: str = EAGER
-    exploration: ExplorationStats | None = None
     budget: Budget | None = None
-    partial: PartialStats | None = None
-
-    @property
-    def independent(self) -> bool:
-        return self.verdict is Verdict.INDEPENDENT
-
-    @property
-    def decided(self) -> bool:
-        """True when the analysis ran to completion (either boolean)."""
-        return self.verdict is not Verdict.UNKNOWN
-
-    @property
-    def needs_revalidation(self) -> bool:
-        """True when soundness requires recomputing the view downstream."""
-        return not self.independent
-
-    @property
-    def unknown_reason(self) -> str | None:
-        """Why the verdict is UNKNOWN (``None`` for decided runs)."""
-        return None if self.partial is None else self.partial.reason
 
     def describe(self) -> str:
         """One-line human-readable account of the verdict."""
@@ -138,97 +95,15 @@ def check_view_independence(
     ``tracer`` likewise mirrors the FD criterion: the run is wrapped in
     a ``view.check`` span, and observability never changes the verdict.
     """
-    if strategy not in STRATEGIES:
-        raise IndependenceError(
-            f"unknown independence strategy {strategy!r}; "
-            f"expected {AUTO!r}, {LAZY!r} or {EAGER!r}"
-        )
-    if tracer is None:
-        tracer = current_tracer()
-    started = time.perf_counter()
-    meter = None if budget is None or budget.unbounded else budget.start()
-    exploration: ExplorationStats | None = None
-    automaton: HedgeAutomaton | None = None
-    partial: PartialStats | None = None
-    witness: XMLDocument | None = None
-    with tracer.span("view.check") as check_span:
-        with tracer.span("ic.construct"):
-            view_automaton, update_automaton, schema_hedge = (
-                dangerous_factors(
-                    view, update_class, schema,
-                    pattern_name="A_V", tracer=tracer,
-                )
-            )
-        requested = strategy
-        if strategy == AUTO:
-            strategy = LAZY
-        try:
-            if strategy == LAZY:
-                outcome = explore_dangerous_factors(
-                    view_automaton,
-                    update_automaton,
-                    schema_hedge,
-                    want_witness=want_witness,
-                    meter=meter,
-                    tracer=tracer,
-                )
-                empty = outcome.empty
-                witness = outcome.witness
-                exploration = outcome.stats
-                automaton_size = exploration.explored_size
-            else:
-                if meter is not None:
-                    meter.check_deadline()
-                with tracer.span("ic.eager_product"):
-                    automaton = eager_automaton(
-                        view_automaton, update_automaton, schema_hedge
-                    )
-                if meter is not None:
-                    meter.check_deadline()
-                with tracer.span("ic.eager_emptiness"):
-                    if want_witness:
-                        witness = witness_document(automaton, meter=meter)
-                        empty = witness is None
-                    else:
-                        empty = automaton_is_empty_typed(automaton, meter=meter)
-                automaton_size = automaton.size()
-            verdict = (
-                Verdict.INDEPENDENT if empty else Verdict.POSSIBLY_DEPENDENT
-            )
-        except BudgetExceeded as signal:
-            verdict = Verdict.UNKNOWN
-            partial = signal.partial
-            witness = None
-            exploration = None
-            automaton = None
-            automaton_size = partial.explored_states + partial.explored_rules
-        if check_span.enabled:
-            check_span.set_attribute("view_arity", view.arity)
-            check_span.set_attribute("update_class", update_class.name)
-            check_span.set_attribute("strategy", strategy)
-            if requested == AUTO:
-                check_span.set_attribute("strategy_requested", AUTO)
-            check_span.set_attribute("verdict", verdict.value)
-            check_span.set_attribute("automaton_size", automaton_size)
-            if exploration is not None:
-                check_span.set_attribute(
-                    "explored_rules", exploration.explored_rules
-                )
-                check_span.set_attribute(
-                    "worst_case_rules", exploration.worst_case_rules
-                )
-    elapsed = time.perf_counter() - started
+    outcome, elapsed = _check_pair(
+        "view.check", {"view_arity": view.arity}, view, "A_V",
+        update_class, schema, want_witness, strategy, budget, tracer,
+    )
     return ViewIndependenceResult(
-        verdict=verdict,
+        **vars(outcome),
         view=view,
         update_class=update_class,
         schema=schema,
-        automaton=automaton,
-        witness=witness,
-        automaton_size=automaton_size,
         elapsed_seconds=elapsed,
-        strategy=strategy,
-        exploration=exploration,
         budget=budget,
-        partial=partial,
     )

@@ -220,7 +220,12 @@ class MetricsRegistry:
         self.counter(f"ic.unknown.{partial.reason}").inc()
 
     def absorb_cell(self, cell) -> None:
-        """Fold one matrix cell: verdict count, duration, exploration."""
+        """Fold one decided cell: verdict count, duration, exploration.
+
+        A matrix cell, or a per-pair result of ``check_independence`` or
+        ``check_view_independence``: each has the verdict, wall time,
+        exploration and partial statistics this reads.
+        """
         self.counter(f"ic.verdict.{cell.verdict.value}").inc()
         self.histogram("ic.cell_ms").observe(cell.elapsed_seconds * 1000.0)
         if cell.exploration is not None:
@@ -243,15 +248,6 @@ class MetricsRegistry:
                 matrix.recomputed_cells
             )
         self.gauge("matrix.elapsed_ms").set(matrix.elapsed_seconds * 1000.0)
-
-    def absorb_result(self, result) -> None:
-        """Fold one per-pair result (``check_independence`` and views)."""
-        self.counter(f"ic.verdict.{result.verdict.value}").inc()
-        self.histogram("ic.cell_ms").observe(result.elapsed_seconds * 1000.0)
-        if result.exploration is not None:
-            self.absorb_exploration(result.exploration)
-        if result.partial is not None:
-            self.absorb_partial(result.partial)
 
     def absorb_audit(self, report) -> None:
         """Fold one :class:`~repro.audit.findings.CorpusReport` in.
@@ -417,9 +413,6 @@ class _NoopMetricsRegistry:
         pass
 
     def absorb_matrix(self, matrix) -> None:
-        pass
-
-    def absorb_result(self, result) -> None:
         pass
 
     def absorb_audit(self, report) -> None:

@@ -90,7 +90,7 @@ class TestWitnessEquivalence:
         eager = check_independence(
             fd, update_class, schema=schema, want_witness=True, strategy=EAGER
         )
-        assert eager.language.automaton.accepts(lazy.witness)
+        assert eager.automaton.accepts(lazy.witness)
         if schema is not None:
             assert schema.is_valid(lazy.witness)
 
@@ -132,9 +132,10 @@ class TestDeferredFlagRules:
         monkeypatch.setattr(language, "flagged_combines", counting_combines)
         monkeypatch.setattr(language, "explore_product", recording_explore)
         fd, update_class, schema = _random_triple(seed)
-        outcome = dangerous_language(
-            fd, update_class, schema, materialize=False
-        ).explore(want_witness=True)
+        outcome = language.explore_dangerous_factors(
+            *language.dangerous_factors(fd.pattern, update_class, schema),
+            want_witness=True,
+        )
         return outcome, built, products[-1]
 
     def test_rules_wait_for_a_designation(self, monkeypatch):

@@ -5,6 +5,7 @@ per-factor fixpoints across cells — the tests pin that none of that
 sharing (nor the process fan-out) changes a single verdict.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -13,10 +14,12 @@ from repro.errors import IndependenceError
 from repro.cli import main
 from repro.independence.criterion import check_independence
 from repro.independence.matrix import (
+    _witness_to_json,
     check_independence_matrix,
     check_view_independence_matrix,
 )
 from repro.independence.views import check_view_independence
+from repro.limits import Budget
 from repro.schema.dtd import Schema
 from repro.workload.random_patterns import (
     random_functional_dependency,
@@ -182,6 +185,46 @@ class TestViewMatrix:
                     view, update_class, want_witness=False
                 )
                 assert matrix.verdict(i, j) == single.verdict
+
+
+def _whole_outcome(outcome) -> tuple:
+    """Everything a front end reports about one cell but its clock."""
+    return (
+        outcome.verdict,
+        None
+        if outcome.exploration is None
+        else dataclasses.asdict(outcome.exploration),
+        None if outcome.partial is None else dataclasses.asdict(outcome.partial),
+        None if outcome.witness is None else _witness_to_json(outcome.witness),
+    )
+
+
+class TestFrontEndParity:
+    """The per-pair criterion, the view criterion and a 1x1 matrix report
+    the same verdict, exploration, partial statistics and witness for a
+    cell, budgeted or not, under either strategy."""
+
+    @pytest.mark.parametrize("cap", (None, 40, 160))
+    @pytest.mark.parametrize("strategy", ("lazy", "eager"))
+    @pytest.mark.parametrize("with_schema", (False, True))
+    @pytest.mark.parametrize("seed", range(20))
+    def test_front_ends_agree_on_the_whole_outcome(
+        self, seed, with_schema, strategy, cap
+    ):
+        (fd,), (update_class,) = _workload(seed, rows=1, columns=1)
+        options = dict(
+            schema=_schema() if with_schema else None,
+            want_witness=True,
+            strategy=strategy,
+            budget=None if cap is None else Budget(max_explored_rules=cap),
+        )
+        pair = check_independence(fd, update_class, **options)
+        view = check_view_independence(fd.pattern, update_class, **options)
+        cell = check_independence_matrix([fd], [update_class], **options).cell(
+            0, 0
+        )
+        assert _whole_outcome(pair) == _whole_outcome(view)
+        assert _whole_outcome(pair) == _whole_outcome(cell)
 
 
 class TestValidation:

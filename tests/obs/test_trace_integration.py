@@ -8,6 +8,7 @@ mid-flight still writes a well-formed, line-parseable JSONL trace with
 the recovery events in it).
 """
 
+import gc
 import json
 import random
 import time
@@ -15,11 +16,15 @@ import time
 import pytest
 
 from repro.cli import main
+from repro.independence.criterion import Verdict, check_independence
 from repro.independence.matrix import (
     FaultInjection,
     check_independence_matrix,
 )
+from repro.independence.views import check_view_independence
+from repro.limits import Budget
 from repro.obs.trace import (
+    InMemorySpanCollector,
     JsonlSpanExporter,
     Tracer,
     installed_tracer,
@@ -55,11 +60,23 @@ def _cli_args(trace_path) -> list[str]:
 
 @pytest.fixture(scope="module")
 def traced_cli_run(tmp_path_factory):
-    """One 3x3 CLI matrix run with --trace-out; (records, wall_seconds)."""
+    """One 3x3 CLI matrix run with --trace-out; (records, wall_seconds).
+
+    The cyclic garbage collector is paused around the run: a full
+    collection of the session's allocation history can take several
+    times the whole matrix span, and would count against the coverage
+    bounds wherever it landed.
+    """
     trace_path = tmp_path_factory.mktemp("trace") / "matrix.jsonl"
-    started = time.perf_counter()
-    exit_code = main(_cli_args(trace_path))
-    wall = time.perf_counter() - started
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        started = time.perf_counter()
+        exit_code = main(_cli_args(trace_path))
+        wall = time.perf_counter() - started
+    finally:
+        if collecting:
+            gc.enable()
     assert exit_code in (0, 2, 3)
     return read_trace(trace_path), wall
 
@@ -106,18 +123,7 @@ class TestCliTraceCoverage:
 
     def test_trace_report_summarizes_the_trace(self, traced_cli_run, tmp_path):
         records, _ = traced_cli_run
-        import importlib.util
-        import pathlib
-
-        spec = importlib.util.spec_from_file_location(
-            "trace_report",
-            pathlib.Path(__file__).resolve().parents[2]
-            / "scripts"
-            / "trace_report.py",
-        )
-        trace_report = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(trace_report)
-        report = trace_report.build_report(records, top_k=3)
+        report = _trace_report().build_report(records, top_k=3)
         assert report["spans"] == len(records)
         assert len(report["slowest_cells"]) == 3
         names = {row["name"] for row in report["phases"]}
@@ -125,6 +131,75 @@ class TestCliTraceCoverage:
         assert "product.explore" in names
         # self time partitions the root exactly: no negative phases
         assert all(row["self_ms"] >= 0 for row in report["phases"])
+
+    def test_trace_report_names_a_single_pair(self, tmp_path):
+        """A per-pair ``--trace-out`` report ranks the ``ic.check`` span
+        like a matrix cell: verdict, strategy and counts."""
+        trace_path = tmp_path / "pair.jsonl"
+        exit_code = main(
+            [
+                "independence", "--strategy", "eager",
+                "--trace-out", str(trace_path),
+                "--fd", FDS[0], "--update-xpath", UPDATES[1],
+            ]
+        )
+        assert exit_code == 2  # the update rewrites the FD's target
+        trace_report = _trace_report()
+        report = trace_report.build_report(read_trace(trace_path))
+        (pair,) = report["slowest_cells"]
+        assert pair["name"] == "ic.check"
+        assert (pair["fd"], pair["update_class"]) == ("fd1", "u1")
+        assert pair["verdict"] == "possibly-dependent"
+        assert pair["strategy"] == "eager"
+        assert pair["automaton_size"] > 0
+        names = {row["name"] for row in report["phases"]}
+        assert {"ic.eager_product", "ic.eager_emptiness"} <= names
+        assert (
+            "ic.check(fd1, u1) possibly-dependent [eager]"
+            in trace_report.render(report)
+        )
+
+
+def _trace_report():
+    """``scripts/trace_report.py``, imported as a module."""
+    import importlib.util
+    import pathlib
+
+    spec = importlib.util.spec_from_file_location(
+        "trace_report",
+        pathlib.Path(__file__).resolve().parents[2]
+        / "scripts"
+        / "trace_report.py",
+    )
+    trace_report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_report)
+    return trace_report
+
+
+class TestPairSpanAttributes:
+    """``ic.check`` and ``view.check`` carry a cell's outcome attributes,
+    the unknown reason of a budget-exhausted pair included."""
+
+    @pytest.mark.parametrize("strategy", ("lazy", "eager"))
+    def test_exhausted_pair_spans_name_the_reason(self, figures, strategy):
+        collector = InMemorySpanCollector()
+        budget = Budget(max_explored_rules=1)
+        with installed_tracer(Tracer(collector)):
+            pair = check_independence(
+                figures.fd5, figures.update_class, strategy=strategy,
+                budget=budget,
+            )
+            view = check_view_independence(
+                figures.fd5.pattern, figures.update_class,
+                strategy=strategy, budget=budget,
+            )
+        for result, name in ((pair, "ic.check"), (view, "view.check")):
+            assert result.verdict is Verdict.UNKNOWN
+            (span,) = collector.by_name(name)
+            assert span.attributes["verdict"] == "unknown"
+            assert span.attributes["strategy"] == strategy
+            assert span.attributes["unknown_reason"] == result.unknown_reason
+            assert "explored_rules" not in span.attributes
 
 
 class TestFaultInjectedTrace:
@@ -168,6 +243,15 @@ class TestFaultInjectedTrace:
         assert root["attributes"]["worker_faults"] >= 1
         pools = [r for r in records if r["name"] == "matrix.pool"]
         assert pools, "pool attempts must be spanned"
+        # re-emitted worker cells carry the same outcome attributes
+        worker_cells = [
+            r for r in records
+            if r["name"] == "matrix.cell" and r["attributes"].get("worker")
+        ]
+        assert worker_cells
+        for cell in worker_cells:
+            assert cell["attributes"]["strategy"] == "lazy"
+            assert cell["attributes"]["explored_rules"] >= 0
         events = [
             event["name"]
             for record in records
