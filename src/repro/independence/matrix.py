@@ -1002,7 +1002,7 @@ def _check_matrix(
     worker_log_path: str | None = None,
     tracer=None,
 ) -> IndependenceMatrix:
-    cell_strategy = resolve_strategy(strategy)
+    strategy = resolve_strategy(strategy)
     if not patterns or not update_classes:
         raise IndependenceError(
             "an independence matrix needs at least one FD/view and one "
@@ -1155,7 +1155,7 @@ def _check_matrix(
             try:
                 results, faults = _run_chunks_with_recovery(
                     chunks, payload_for, serial_for, jobs,
-                    worker_timeout_seconds, cell_strategy,
+                    worker_timeout_seconds, strategy,
                     on_chunk=on_chunk, tracer=tracer,
                 )
             finally:

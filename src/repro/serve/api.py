@@ -44,7 +44,7 @@ import json
 
 from repro.errors import ReproError
 from repro.fd.linear import LinearFD, translate_linear_fd
-from repro.independence.strategy import STRATEGIES
+from repro.independence.strategy import STRATEGIES, resolve_strategy
 from repro.persistence.manifest import RunManifest, fingerprint_schema
 from repro.schema.dtd import Schema
 from repro.xpath.translate import update_class_from_xpath
@@ -261,7 +261,7 @@ def degraded_response(request: IndependenceRequest, *, reason: str) -> dict:
         "independent": 0,
         "unknown": len(row_names) * len(column_names),
         "cells": len(row_names) * len(column_names),
-        "strategy": request.strategy,
+        "strategy": resolve_strategy(request.strategy),
         "parallelism": 0,
         "worker_faults": 0,
         "spliced_cells": 0,

@@ -18,15 +18,12 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.errors import XMLParseError
-from repro.xmlmodel.parser import _Scanner, _decode_entities, _skip_misc
+from repro.errors import ParseError
+from repro.limits import NOOP_PARSE_METER
+from repro.xmlmodel.parser import END, LEAF, START, _document_start, _scan
 from repro.xmlmodel.tree import NodeType, ROOT_LABEL, XMLDocument, XMLNode
 
 Event = tuple[str, object]
-
-START = "start"
-END = "end"
-LEAF = "leaf"
 
 
 def iter_events(document: XMLDocument | XMLNode) -> Iterator[Event]:
@@ -61,111 +58,17 @@ def parse_events(
 ) -> Iterator[Event]:
     """Stream XML text as events without building a tree.
 
-    Accepts the same dialect as :func:`repro.xmlmodel.parser.parse_document`
-    (elements, attributes, text with entities, CDATA, comments, PIs) and
-    wraps the document element in the reserved ``'/'`` root events.
+    Runs the scanner of :func:`repro.xmlmodel.parser.parse_document`,
+    so it accepts the same dialect (elements, attributes, text with
+    entities, CDATA, comments, PIs) and raises the same
+    :class:`~repro.errors.XMLParseError`, with position and snippet.
+    The document element's events are wrapped in the reserved ``'/'``
+    root events.
     """
-    scanner = _Scanner(source)
-    _skip_misc(scanner)
-    if scanner.startswith("<!DOCTYPE"):
-        raise XMLParseError("DOCTYPE declarations are not supported", scanner.pos)
-    yield (START, ROOT_LABEL)
-    yield from _stream_element(scanner, keep_whitespace)
-    _skip_misc(scanner)
-    if not scanner.at_end():
-        raise XMLParseError("trailing content after document element", scanner.pos)
-    yield (END, ROOT_LABEL)
-
-
-def _stream_tag(scanner: _Scanner) -> tuple[str, bool, list[Event]]:
-    """Read one start tag; returns (name, self-closing, attribute events)."""
-    scanner.expect("<")
-    name = scanner.read_name()
-    attribute_events: list[Event] = []
-    while True:
-        scanner.skip_whitespace()
-        if scanner.at_end() or scanner.peek() in ">/":
-            break
-        attribute = scanner.read_name()
-        scanner.skip_whitespace()
-        scanner.expect("=")
-        scanner.skip_whitespace()
-        quote = scanner.peek()
-        if quote not in "\"'":
-            raise XMLParseError("attribute value must be quoted", scanner.pos)
-        scanner.advance()
-        start = scanner.pos
-        raw = scanner.read_until(quote)
-        attribute_events.append(
-            (LEAF, (f"@{attribute}", _decode_entities(raw, start)))
-        )
-    scanner.skip_whitespace()
-    if scanner.startswith("/>"):
-        scanner.advance(2)
-        return name, True, attribute_events
-    scanner.expect(">")
-    return name, False, attribute_events
-
-
-def _stream_element(scanner: _Scanner, keep_whitespace: bool) -> Iterator[Event]:
-    """Stream one element's subtree iteratively (depth-safe)."""
-    name, closed, attribute_events = _stream_tag(scanner)
-    yield (START, name)
-    yield from attribute_events
-    if closed:
-        yield (END, name)
-        return
-
-    stack: list[str] = [name]
-    buffer: list[str] = []
-
-    def flush() -> Iterator[Event]:
-        if buffer:
-            joined = "".join(buffer)
-            buffer.clear()
-            if joined.strip() or keep_whitespace:
-                yield (LEAF, ("#text", joined))
-
-    while stack:
-        if scanner.at_end():
-            raise XMLParseError(f"unclosed element <{stack[-1]}>", scanner.pos)
-        if scanner.startswith("</"):
-            yield from flush()
-            scanner.advance(2)
-            closing = scanner.read_name()
-            if closing != stack[-1]:
-                raise XMLParseError(
-                    f"mismatched end tag </{closing}> for <{stack[-1]}>",
-                    scanner.pos,
-                )
-            scanner.skip_whitespace()
-            scanner.expect(">")
-            stack.pop()
-            yield (END, closing)
-        elif scanner.startswith("<!--"):
-            yield from flush()
-            scanner.advance(4)
-            scanner.read_until("-->")
-        elif scanner.startswith("<![CDATA["):
-            scanner.advance(9)
-            buffer.append(scanner.read_until("]]>"))
-        elif scanner.startswith("<?"):
-            yield from flush()
-            scanner.advance(2)
-            scanner.read_until("?>")
-        elif scanner.startswith("<"):
-            yield from flush()
-            child, child_closed, child_attributes = _stream_tag(scanner)
-            yield (START, child)
-            yield from child_attributes
-            if child_closed:
-                yield (END, child)
-            else:
-                stack.append(child)
-        else:
-            start = scanner.pos
-            while not scanner.at_end() and scanner.peek() != "<":
-                scanner.advance()
-            buffer.append(
-                _decode_entities(scanner.source[start : scanner.pos], start)
-            )
+    try:
+        start = _document_start(source)
+        yield (START, ROOT_LABEL)
+        yield from _scan(source, start, keep_whitespace, NOOP_PARSE_METER)
+        yield (END, ROOT_LABEL)
+    except ParseError as error:
+        raise error.with_snippet(source) from None

@@ -9,14 +9,32 @@ prefixes; DOCTYPE declarations are rejected.
 Attributes become attribute-labeled leaf children placed *before* the
 element children, matching the paper's modeling of attributes as labeled
 leaves (Figure 1).
+
+One scanner serves both XML front ends: :func:`_scan` walks the text
+with ``str.find`` and two compiled patterns, and yields the
+``start``/``leaf``/``end`` events of :mod:`repro.xmlmodel.events`.
+:func:`parse_fragment` builds the tree from those events and
+:func:`~repro.xmlmodel.events.parse_events` streams them.
 """
 
 from __future__ import annotations
 
-from repro.errors import ParseError, XMLParseError, source_snippet
-from repro.limits import NOOP_PARSE_METER, ParseBudget, start_parse_meter
-from repro.xmlmodel.builder import attr, text
-from repro.xmlmodel.tree import XMLDocument, XMLNode
+import re
+from collections.abc import Iterator
+
+from repro.errors import ParseError, XMLParseError
+from repro.limits import ParseBudget, start_parse_meter
+from repro.xmlmodel.tree import (
+    ATTRIBUTE_PREFIX,
+    TEXT_LABEL,
+    XMLDocument,
+    XMLNode,
+)
+
+#: the event kinds the scanner yields (see :mod:`repro.xmlmodel.events`)
+START = "start"
+END = "end"
+LEAF = "leaf"
 
 _ENTITIES = {
     "lt": "<",
@@ -26,77 +44,31 @@ _ENTITIES = {
     "apos": "'",
 }
 
-_NAME_START = set(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_:"
-)
-_NAME_CHARS = _NAME_START | set("0123456789.-")
+#: an element or attribute name, and a run of XML whitespace, each
+#: matched at a given offset
+_NAME = re.compile(r"[A-Za-z_:][A-Za-z0-9_:.-]*").match
+_SPACE = re.compile(r"[ \t\r\n]*").match
 
 
-class _Scanner:
-    """Cursor over the raw XML text with small lookahead helpers."""
-
-    def __init__(self, source: str, meter=NOOP_PARSE_METER) -> None:
-        self.source = source
-        self.pos = 0
-        self.meter = meter
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.source)
-
-    def peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index >= len(self.source):
-            return ""
-        return self.source[index]
-
-    def startswith(self, token: str) -> bool:
-        return self.source.startswith(token, self.pos)
-
-    def advance(self, count: int = 1) -> None:
-        self.pos += count
-
-    def expect(self, token: str) -> None:
-        if not self.startswith(token):
-            raise XMLParseError(f"expected {token!r}", self.pos)
-        self.pos += len(token)
-
-    def skip_whitespace(self) -> None:
-        while not self.at_end() and self.peek() in " \t\r\n":
-            self.advance()
-
-    def read_until(self, token: str) -> str:
-        end = self.source.find(token, self.pos)
-        if end < 0:
-            raise XMLParseError(f"unterminated construct, expected {token!r}", self.pos)
-        chunk = self.source[self.pos : end]
-        self.pos = end + len(token)
-        return chunk
-
-    def read_name(self) -> str:
-        start = self.pos
-        if self.at_end() or self.peek() not in _NAME_START:
-            raise XMLParseError("expected a name", self.pos)
-        while not self.at_end() and self.peek() in _NAME_CHARS:
-            self.advance()
-        return self.source[start : self.pos]
+def _unterminated(token: str, position: int) -> XMLParseError:
+    """The error for a construct whose closing ``token`` never comes."""
+    return XMLParseError(
+        f"unterminated construct, expected {token!r}", position
+    )
 
 
-def _decode_entities(raw: str, offset: int, meter=NOOP_PARSE_METER) -> str:
-    """Replace ``&name;`` and ``&#N;`` references in character data."""
-    if "&" not in raw:
-        return raw
+def _decode_entities(raw: str, offset: int, meter) -> str:
+    """Replace ``&name;`` and ``&#N;`` references in character data that
+    contains at least one ``&``."""
+    amp = raw.find("&")
     pieces: list[str] = []
     index = 0
-    while index < len(raw):
-        char = raw[index]
-        if char != "&":
-            pieces.append(char)
-            index += 1
-            continue
-        end = raw.find(";", index + 1)
+    while amp >= 0:
+        pieces.append(raw[index:amp])
+        end = raw.find(";", amp + 1)
         if end < 0:
-            raise XMLParseError("unterminated entity reference", offset + index)
-        name = raw[index + 1 : end]
+            raise XMLParseError("unterminated entity reference", offset + amp)
+        name = raw[amp + 1 : end]
         if name.startswith("#"):
             # numeric character reference: digits may be garbage and the
             # code point out of range — both are parse errors, not
@@ -107,147 +79,218 @@ def _decode_entities(raw: str, offset: int, meter=NOOP_PARSE_METER) -> str:
                 else:
                     code = int(name[1:])
                 pieces.append(chr(code))
-                meter.expand(1, offset + index)
+                meter.expand(1, offset + amp)
             except (ValueError, OverflowError):
                 raise XMLParseError(
-                    f"invalid character reference &{name};", offset + index
+                    f"invalid character reference &{name};", offset + amp
                 ) from None
         elif name in _ENTITIES:
             pieces.append(_ENTITIES[name])
-            meter.expand(1, offset + index)
+            meter.expand(1, offset + amp)
         else:
-            raise XMLParseError(f"unknown entity {name!r}", offset + index)
+            raise XMLParseError(f"unknown entity {name!r}", offset + amp)
         index = end + 1
+        amp = raw.find("&", index)
+    pieces.append(raw[index:])
     return "".join(pieces)
 
 
-def _skip_misc(scanner: _Scanner) -> None:
-    """Skip whitespace, comments and processing instructions."""
+def _skip_misc(source: str, pos: int) -> int:
+    """The offset past whitespace, comments and processing instructions."""
     while True:
-        scanner.skip_whitespace()
-        if scanner.startswith("<!--"):
-            scanner.advance(4)
-            scanner.read_until("-->")
-        elif scanner.startswith("<?"):
-            scanner.advance(2)
-            scanner.read_until("?>")
+        pos = _SPACE(source, pos).end()
+        if source.startswith("<!--", pos):
+            end = source.find("-->", pos + 4)
+            if end < 0:
+                raise _unterminated("-->", pos + 4)
+            pos = end + 3
+        elif source.startswith("<?", pos):
+            end = source.find("?>", pos + 2)
+            if end < 0:
+                raise _unterminated("?>", pos + 2)
+            pos = end + 2
         else:
-            return
+            return pos
 
 
-def _parse_attributes(scanner: _Scanner, element: XMLNode) -> None:
-    while True:
-        scanner.skip_whitespace()
-        if scanner.at_end() or scanner.peek() in ">/":
-            return
-        name = scanner.read_name()
-        scanner.meter.token(scanner.pos)
-        scanner.skip_whitespace()
-        scanner.expect("=")
-        scanner.skip_whitespace()
-        quote = scanner.peek()
-        if quote not in "\"'":
-            raise XMLParseError("attribute value must be quoted", scanner.pos)
-        scanner.advance()
-        start = scanner.pos
-        raw = scanner.read_until(quote)
-        element.append_child(
-            attr(name, _decode_entities(raw, start, scanner.meter))
+def _document_start(source: str) -> int:
+    """The offset of the document element, past the prolog."""
+    pos = _skip_misc(source, 0)
+    if source.startswith("<!DOCTYPE", pos):
+        raise XMLParseError("DOCTYPE declarations are not supported", pos)
+    return pos
+
+
+def _end_tag(source: str, pos: int, label: str) -> int:
+    """The offset of the ``>`` closing the end tag at ``pos``, which must
+    name ``label``."""
+    match = _NAME(source, pos + 2)
+    if match is None:
+        raise XMLParseError("expected a name", pos + 2)
+    pos = match.end()
+    if match.group() != label:
+        raise XMLParseError(
+            f"mismatched end tag </{match.group()}> for <{label}>", pos
         )
+    pos = _SPACE(source, pos).end()
+    if not source.startswith(">", pos):
+        raise XMLParseError("expected '>'", pos)
+    return pos
 
 
-def _read_open_tag(scanner: _Scanner) -> tuple[XMLNode, bool]:
-    """Read ``<name attrs...`` up to ``>`` or ``/>``.
+def _scan(
+    source: str, pos: int, keep_whitespace: bool, meter
+) -> Iterator[tuple[str, object]]:
+    """Yield the events of the element at ``pos``, then refuse anything
+    but whitespace, comments and PIs after it.
 
-    Returns the element and whether the tag was self-closing.
+    The one element loop of the XML front ends.  Iterative (a stack of
+    open labels), so arbitrarily deep documents scan without hitting
+    the interpreter recursion limit.  Character data is buffered until
+    the next markup other than CDATA, and a buffer that is all
+    whitespace is dropped unless ``keep_whitespace`` is set.  The
+    ``meter`` sees one ``token`` per element name, attribute name and
+    text run, ``enter``/``leave`` per element and ``expand`` per entity.
     """
-    scanner.expect("<")
-    name = scanner.read_name()
-    scanner.meter.token(scanner.pos)
-    element = XMLNode(name)
-    _parse_attributes(scanner, element)
-    scanner.skip_whitespace()
-    if scanner.startswith("/>"):
-        scanner.advance(2)
-        return element, True
-    scanner.expect(">")
-    return element, False
-
-
-def _parse_element(scanner: _Scanner, keep_whitespace: bool) -> XMLNode:
-    """Parse one element and its whole subtree.
-
-    Iterative (explicit stack of open elements), so arbitrarily deep
-    documents parse without hitting the interpreter recursion limit.
-    """
-    meter = scanner.meter
-    meter.enter(scanner.pos)
-    root, closed = _read_open_tag(scanner)
-    if closed:
-        meter.leave()
-        return root
-    stack: list[XMLNode] = [root]
-    buffers: list[list[str]] = [[]]
-
-    def flush() -> None:
-        buffer = buffers[-1]
-        if not buffer:
-            return
-        joined = "".join(buffer)
-        buffer.clear()
-        if joined.strip() or keep_whitespace:
-            stack[-1].append_child(text(joined))
-
-    while stack:
-        if scanner.at_end():
-            raise XMLParseError(
-                f"unclosed element <{stack[-1].label}>", scanner.pos
-            )
-        if scanner.startswith("</"):
-            flush()
-            scanner.advance(2)
-            closing = scanner.read_name()
-            if closing != stack[-1].label:
-                raise XMLParseError(
-                    f"mismatched end tag </{closing}> for <{stack[-1].label}>",
-                    scanner.pos,
-                )
-            scanner.skip_whitespace()
-            scanner.expect(">")
-            stack.pop()
-            buffers.pop()
+    find = source.find
+    startswith = source.startswith
+    size = len(source)
+    token = meter.token
+    open_labels: list[str] = []
+    text: list[str] = []
+    meter.enter(pos)
+    if not startswith("<", pos):
+        raise XMLParseError("expected '<'", pos)
+    while True:
+        # an open tag starts at pos and its nesting level is entered
+        match = _NAME(source, pos + 1)
+        if match is None:
+            raise XMLParseError("expected a name", pos + 1)
+        pos = match.end()
+        token(pos)
+        label = match.group()
+        yield (START, label)
+        while True:
+            pos = _SPACE(source, pos).end()
+            char = source[pos : pos + 1]
+            if char == ">" or char == "/" or not char:
+                break
+            match = _NAME(source, pos)
+            if match is None:
+                raise XMLParseError("expected a name", pos)
+            pos = match.end()
+            token(pos)
+            pos = _SPACE(source, pos).end()
+            if not startswith("=", pos):
+                raise XMLParseError("expected '='", pos)
+            pos = _SPACE(source, pos + 1).end()
+            quote = source[pos : pos + 1]
+            if quote != '"' and quote != "'":
+                raise XMLParseError("attribute value must be quoted", pos)
+            pos += 1
+            end = find(quote, pos)
+            if end < 0:
+                raise _unterminated(quote, pos)
+            value = source[pos:end]
+            if "&" in value:
+                value = _decode_entities(value, pos, meter)
+            yield (LEAF, (ATTRIBUTE_PREFIX + match.group(), value))
+            pos = end + 1
+        if char == ">":
+            pos += 1
+            open_labels.append(label)
+        elif startswith("/>", pos):
+            pos += 2
             meter.leave()
-        elif scanner.startswith("<!--"):
-            flush()
-            scanner.advance(4)
-            scanner.read_until("-->")
-        elif scanner.startswith("<![CDATA["):
-            scanner.advance(9)
-            buffers[-1].append(scanner.read_until("]]>"))
-        elif scanner.startswith("<?"):
-            flush()
-            scanner.advance(2)
-            scanner.read_until("?>")
-        elif scanner.startswith("<"):
-            flush()
-            meter.enter(scanner.pos)
-            child, child_closed = _read_open_tag(scanner)
-            stack[-1].append_child(child)
-            if child_closed:
-                meter.leave()
-            else:
-                stack.append(child)
-                buffers.append([])
+            yield (END, label)
         else:
-            start = scanner.pos
-            while not scanner.at_end() and scanner.peek() != "<":
-                scanner.advance()
-            meter.token(scanner.pos)
-            buffers[-1].append(
-                _decode_entities(
-                    scanner.source[start : scanner.pos], start, meter
+            raise XMLParseError("expected '>'", pos)
+        # content up to the next open tag, or to the document end tag
+        while open_labels:
+            if pos >= size:
+                raise XMLParseError(
+                    f"unclosed element <{open_labels[-1]}>", pos
                 )
-            )
+            if source[pos] != "<":
+                end = find("<", pos)
+                if end < 0:
+                    end = size
+                token(end)
+                value = source[pos:end]
+                if "&" in value:
+                    value = _decode_entities(value, pos, meter)
+                text.append(value)
+                pos = end
+                continue
+            after = source[pos + 1 : pos + 2]
+            if after == "!" and startswith("<![CDATA[", pos):
+                end = find("]]>", pos + 9)
+                if end < 0:
+                    raise _unterminated("]]>", pos + 9)
+                text.append(source[pos + 9 : end])
+                pos = end + 3
+                continue
+            if text:
+                joined = "".join(text)
+                text.clear()
+                if keep_whitespace or joined.strip():
+                    yield (LEAF, (TEXT_LABEL, joined))
+            if after == "/":
+                # '>' cannot continue a name, so "</label>" closes label;
+                # any other end tag takes the path that checks it
+                label = open_labels.pop()
+                end = pos + 2 + len(label)
+                if not (
+                    startswith(label, pos + 2) and source[end : end + 1] == ">"
+                ):
+                    end = _end_tag(source, pos, label)
+                pos = end + 1
+                meter.leave()
+                yield (END, label)
+            elif after == "!" and startswith("<!--", pos):
+                end = find("-->", pos + 4)
+                if end < 0:
+                    raise _unterminated("-->", pos + 4)
+                pos = end + 3
+            elif after == "?":
+                end = find("?>", pos + 2)
+                if end < 0:
+                    raise _unterminated("?>", pos + 2)
+                pos = end + 2
+            else:
+                meter.enter(pos)
+                break
+        if not open_labels:
+            break
+    pos = _skip_misc(source, pos)
+    if pos < size:
+        raise XMLParseError("trailing content after document element", pos)
+
+
+def _build(events: Iterator[tuple[str, object]]) -> XMLNode:
+    """The element whose events :func:`_scan` yields, as a tree."""
+    # XMLNode's label checks are skipped: a scanned name never starts
+    # with '@' and is never '#text', so the grammar fixes each node type
+    new_node = XMLNode.__new__
+    root = parent = None
+    for kind, payload in events:
+        if kind is END:
+            parent = parent.parent
+            continue
+        node = new_node(XMLNode)
+        node.children = []
+        node.parent = parent
+        if kind is LEAF:
+            node.label, node.value = payload
+            parent.children.append(node)
+            continue
+        node.label = payload
+        node.value = None
+        if parent is None:
+            root = node
+        else:
+            parent.children.append(node)
+        parent = node
     return root
 
 
@@ -270,31 +313,13 @@ def parse_fragment(
     before — the element loop is iterative, so even unguarded parses
     never hit ``RecursionError`` on deep documents.
     """
-    scanner = _Scanner(source)
     try:
-        scanner.meter = start_parse_meter(limits, source)
-        _skip_misc(scanner)
-        if scanner.startswith("<!DOCTYPE"):
-            raise XMLParseError(
-                "DOCTYPE declarations are not supported", scanner.pos
-            )
-        element = _parse_element(scanner, keep_whitespace)
-        _skip_misc(scanner)
-        if not scanner.at_end():
-            raise XMLParseError(
-                "trailing content after document element", scanner.pos
-            )
+        meter = start_parse_meter(limits, source)
+        return _build(
+            _scan(source, _document_start(source), keep_whitespace, meter)
+        )
     except ParseError as error:
         raise error.with_snippet(source) from None
-    except (ValueError, IndexError, OverflowError) as error:
-        # belt and braces: any scanner slip on adversarial input is
-        # still reported as a parse error at the current offset
-        raise XMLParseError(
-            f"malformed XML: {error}",
-            scanner.pos,
-            source_snippet(source, scanner.pos),
-        ) from error
-    return element
 
 
 def parse_document(

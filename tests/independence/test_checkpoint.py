@@ -36,6 +36,7 @@ from repro.workload.random_patterns import (
     random_functional_dependency,
     random_update_class,
 )
+from tests.independence.test_matrix import _workload
 
 LABELS = ("a", "b", "c")
 ROWS = 3
@@ -57,13 +58,14 @@ def workload():
 
 
 def _matrix_manifest(fds, update_classes, **overrides):
+    # the manifest a default run writes: it records the resolved strategy
     settings = dict(
         kind="independence-matrix",
         patterns=[fd.pattern for fd in fds],
         row_names=[fd.name for fd in fds],
         update_classes=update_classes,
         schema=None,
-        strategy="auto",
+        strategy="lazy",
         want_witness=False,
         budget=None,
     )
@@ -241,6 +243,37 @@ class TestResume:
             assert restored.witness is not None
             assert _witness_to_json(restored.witness) == _witness_to_json(
                 original.witness
+            )
+
+
+class TestResolvedStrategy:
+    """A matrix records the strategy its cells ran, never ``"auto"``."""
+
+    def test_default_run_resumes_under_lazy(self, tmp_path):
+        fds, update_classes = _workload(1, rows=2, columns=2)
+        run_dir = tmp_path / "run"
+        first = check_independence_matrix(
+            fds, update_classes, checkpoint_dir=run_dir
+        )
+        resumed = check_independence_matrix(
+            fds, update_classes, checkpoint_dir=run_dir, resume=True,
+            strategy="lazy",
+        )
+        assert first.strategy == resumed.strategy == "lazy"
+        _assert_same_verdicts(resumed, first)
+        assert resumed.recomputed_cells == 0
+        for row, first_row in zip(resumed.cells, first.cells):
+            for cell, first_cell in zip(row, first_row):
+                assert cell.elapsed_seconds == first_cell.elapsed_seconds
+
+    def test_default_run_refuses_an_eager_resume(self, tmp_path):
+        fds, update_classes = _workload(1, rows=2, columns=2)
+        run_dir = tmp_path / "run"
+        check_independence_matrix(fds, update_classes, checkpoint_dir=run_dir)
+        with pytest.raises(ResumeMismatchError):
+            check_independence_matrix(
+                fds, update_classes, checkpoint_dir=run_dir, resume=True,
+                strategy="eager",
             )
 
 

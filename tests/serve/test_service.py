@@ -420,6 +420,8 @@ class TestWatchdog:
                 assert payload["matrix"]["needs_revalidation"] == [
                     ["fd1", "u1"]
                 ]
+                # the strategy a computed answer would name, not "auto"
+                assert payload["matrix"]["strategy"] == "lazy"
                 assert service.stats()["counters"]["watchdog_timeouts"] == 1
                 # the watchdog counts as a breaker fault (wedged pool)
                 assert service.breaker.snapshot()["consecutive_faults"] >= 1

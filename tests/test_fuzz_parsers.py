@@ -78,12 +78,18 @@ def _mutate(rng: random.Random, source: str) -> str:
     return source[:position]  # truncate
 
 
-def _fuzz(parse, seeds, seed):
+def _mutants(seeds, seed):
+    """``MUTATIONS_PER_SEED`` inputs, each 1-3 random edits of a seed."""
     rng = random.Random(seed)
     for _ in range(MUTATIONS_PER_SEED):
         source = rng.choice(seeds)
         for _ in range(rng.randrange(1, 4)):
             source = _mutate(rng, source)
+        yield source
+
+
+def _fuzz(parse, seeds, seed):
+    for source in _mutants(seeds, seed):
         try:
             parse(source)
         except ParseError:
@@ -222,3 +228,50 @@ def test_guards_refuse_adversarial_inputs_structurally():
     for parse, source in cases:
         with pytest.raises(ParseLimitError):
             parse(source, limits=GUARDS)
+
+
+# ----------------------------------------------------------------------
+# the event stream: the parser's scanner, so the parser's refusals
+# ----------------------------------------------------------------------
+
+from repro.xmlmodel.events import iter_events, parse_events  # noqa: E402
+
+
+def _assert_stream_matches_parser(source):
+    """``parse_events`` streams the tree ``parse_document`` builds, or
+    raises the parser's error — with position and snippet — and nothing
+    else."""
+    try:
+        expected = list(iter_events(parse_document(source)))
+    except ParseError as error:
+        expected = error
+    try:
+        actual = list(parse_events(source))
+    except ParseError as error:
+        assert error.position is not None, source
+        assert error.snippet is not None, source
+        assert isinstance(expected, ParseError), source
+        assert (
+            type(error), error.message, error.position, error.snippet
+        ) == (
+            type(expected), expected.message, expected.position,
+            expected.snippet,
+        ), source
+        return
+    except Exception as error:  # pragma: no cover - the failure path
+        pytest.fail(
+            f"parse_events leaked {type(error).__name__}: {error!r} "
+            f"on input {source!r}"
+        )
+    assert actual == expected, source
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_event_stream_fails_as_the_parser_does(seed):
+    for source in _mutants(VALID_DOCUMENTS, seed):
+        _assert_stream_matches_parser(source)
+
+
+def test_event_stream_refuses_adversarial_inputs_as_the_parser_does():
+    for source in ADVERSARIAL_DOCUMENTS:
+        _assert_stream_matches_parser(source)
