@@ -10,8 +10,8 @@ and prints:
 * the top-k slowest cell spans — ``matrix.cell``, and the per-pair
   ``ic.check`` / ``view.check`` spans, which carry the same outcome
   attributes — with their verdict, strategy and explored-vs-worst-case
-  rules, unknown reason or eager automaton size (``--cells K``,
-  default 5).
+  rules, the cell a derived cell was derived from, unknown reason or
+  eager automaton size (``--cells K``, default 5).
 
 Usage::
 
@@ -98,6 +98,7 @@ def build_report(records: list[dict], top_k: int = 5) -> dict:
                 "worst_case_rules": attributes.get("worst_case_rules"),
                 "unknown_reason": attributes.get("unknown_reason"),
                 "automaton_size": attributes.get("automaton_size"),
+                "derived_from": attributes.get("derived_from"),
             }
         )
     return {
@@ -131,7 +132,9 @@ def render(report: dict) -> str:
             else:
                 subject = cell["fd"] or "view"
                 label = f"{cell['name']}({subject}, {cell['update_class']})"
-            if cell["explored_rules"] is not None:
+            if cell["derived_from"] is not None:
+                detail = f" derived from cell({cell['row']},{cell['derived_from']})"
+            elif cell["explored_rules"] is not None:
                 detail = (
                     f" explored {cell['explored_rules']}"
                     f"/{cell['worst_case_rules']} rules"

@@ -52,6 +52,12 @@ update classes, schema, strategy, budget, or code version raises
 non-fatal — a read-only or full checkpoint directory degrades the run
 to in-memory with a single :class:`PersistenceWarning`.
 
+An unbudgeted lazy run also skips the exploration of every cell whose
+update class is contained in that of an INDEPENDENT cell of its row
+(:mod:`repro.independence.containment`): such a cell is INDEPENDENT by
+monotonicity of the dangerous language, and records the column it was
+derived from.
+
 :func:`check_view_independence_matrix` does the same for view-update
 independence (the [9] companion criterion) — the dangerous region is
 identical, so the machinery is shared.
@@ -70,13 +76,14 @@ from repro.errors import IndependenceError, ReproError
 from repro.fd.fd import FunctionalDependency
 from repro.independence import pool
 from repro.independence.criterion import (
+    CellOutcome,
     Verdict,
     VerdictFlags,
     cell_attributes,
     decide_cell,
 )
 from repro.independence.language import forget_row, validate_update_class
-from repro.independence.strategy import AUTO, resolve_strategy
+from repro.independence.strategy import AUTO, LAZY, resolve_strategy
 from repro.limits import Budget, PartialStats
 from repro.obs.trace import NOOP_TRACER, current_tracer
 from repro.pattern.template import RegularTreePattern
@@ -104,6 +111,10 @@ class MatrixCell(VerdictFlags):
     ``partial`` carries the explored-so-far counters when the cell's
     budget ran out (verdict UNKNOWN); such a cell must be treated as
     "recheck the FD after applying", never as either boolean.
+
+    ``derived_from`` names the column of an INDEPENDENT cell of the same
+    row whose update class contains this cell's: the cell is INDEPENDENT
+    by containment, with no exploration (zero statistics, no witness).
     """
 
     row: int
@@ -113,6 +124,25 @@ class MatrixCell(VerdictFlags):
     exploration: ExplorationStats | None = None
     witness: XMLDocument | None = None
     partial: PartialStats | None = None
+    derived_from: int | None = None
+
+
+#: the exploration of a derived cell: nothing explored
+DERIVED_STATS = ExplorationStats(
+    explored_states=0,
+    explored_rules=0,
+    fired_rules=0,
+    worst_case_rules=0,
+    step_attempts=0,
+)
+
+#: the outcome of every derived cell
+_DERIVED = CellOutcome(
+    verdict=Verdict.INDEPENDENT,
+    strategy=LAZY,
+    automaton_size=0,
+    exploration=DERIVED_STATS,
+)
 
 
 def _witness_to_json(document: XMLDocument) -> list:
@@ -149,8 +179,9 @@ def cell_to_record(cell: MatrixCell) -> dict:
 
     Everything a resumed run needs to reproduce the cell without
     recomputation: the verdict, wall time, exploration accounting,
-    the partial statistics of a budget-exhausted cell, and the
-    witness document (as a JSON tree) when one was built.
+    the partial statistics of a budget-exhausted cell, the witness
+    document (as a JSON tree) when one was built, and the column a
+    derived cell was derived from.
     """
     return {
         "type": "cell",
@@ -169,6 +200,7 @@ def cell_to_record(cell: MatrixCell) -> dict:
         "witness": (
             None if cell.witness is None else _witness_to_json(cell.witness)
         ),
+        "derived_from": cell.derived_from,
     }
 
 
@@ -177,7 +209,8 @@ def cell_from_record(record: dict) -> MatrixCell | None:
 
     Returns ``None`` for a record that does not decode cleanly — the
     sound reaction to unexpected journal content is to recompute the
-    cell, never to guess at its verdict.
+    cell, never to guess at its verdict.  Records written before cells
+    were derived carry no ``derived_from`` and read ``None``.
     """
     try:
         if record.get("type") != "cell":
@@ -185,6 +218,7 @@ def cell_from_record(record: dict) -> MatrixCell | None:
         exploration = record["exploration"]
         partial = record["partial"]
         witness = record["witness"]
+        derived_from = record.get("derived_from")
         return MatrixCell(
             row=int(record["row"]),
             column=int(record["column"]),
@@ -195,6 +229,7 @@ def cell_from_record(record: dict) -> MatrixCell | None:
             ),
             partial=None if partial is None else PartialStats(**partial),
             witness=None if witness is None else _witness_from_json(witness),
+            derived_from=None if derived_from is None else int(derived_from),
         )
     except (KeyError, TypeError, ValueError, ReproError):
         # a damaged record (or witness) must not kill the resume
@@ -428,7 +463,7 @@ def _explore_rows(
     strategy: str,
     want_witness: bool,
     budget: Budget | None = None,
-    skip_cells: frozenset[tuple[int, int]] | None = None,
+    skip_cells: dict[tuple[int, int], Verdict] | None = None,
     per_cell_delay: float = 0.0,
     on_cell=None,
     tracer=None,
@@ -450,9 +485,19 @@ def _explore_rows(
     cells individually; a budget-exhausted cell becomes UNKNOWN with
     its partial statistics and the run continues with the next cell.
 
-    ``skip_cells`` names (row, column) pairs restored from a
-    checkpoint: those are *not* recomputed and leave a ``None``
-    placeholder for :func:`_splice_restored` to fill.  ``on_cell`` is
+    An unbudgeted lazy run decides each row's columns containers first
+    (:meth:`~repro.independence.pool.MaterializedContext.containment`)
+    and derives a cell whose update class is contained in that of an
+    INDEPENDENT cell of the row: INDEPENDENT, ``derived_from`` that
+    column, with no exploration.  Under a budget a direct cell may be
+    UNKNOWN, so a derived verdict could differ from the computed one;
+    and ``strategy="eager"`` stays the literal Proposition 3 reference.
+    Neither derives.  The row keeps column order either way.
+
+    ``skip_cells`` maps (row, column) pairs restored from a checkpoint
+    to their verdicts: those are *not* recomputed and leave a ``None``
+    placeholder for :func:`_splice_restored` to fill, but a restored
+    INDEPENDENT cell still derives its contained cells.  ``on_cell`` is
     the parent-side journaling hook (never shipped to pool workers);
     it runs *after* the cell's clock stopped, so journaling fsyncs
     never inflate ``elapsed_seconds``.  ``per_cell_delay`` is the
@@ -468,56 +513,75 @@ def _explore_rows(
     """
     if tracer is None:
         tracer = NOOP_TRACER
+    if skip_cells is None:
+        skip_cells = {}
     update_automata = shared.update_automata
     schema_hedge = shared.schema_hedge
     factor_cache = shared.factor_cache
     cell_strategy = resolve_strategy(strategy)
+    unbudgeted = budget is None or budget.unbounded
+    containment = None
+    if unbudgeted and cell_strategy == LAZY and len(update_automata) > 1:
+        with tracer.span("matrix.containment"):
+            containment = shared.containment()
+    order = (
+        range(len(update_automata))
+        if containment is None
+        else containment.order
+    )
     rows: list[list[MatrixCell | None]] = []
     for local_row, pattern in enumerate(patterns):
+        row_index = row_offset + local_row
         with tracer.span("construct.trace_automaton"):
             pattern_automaton = trace_automaton(
                 pattern, shared.alphabet, track_regions=True, name="A_FD"
             )
-        row: list[MatrixCell | None] = []
-        for column, update_automaton in enumerate(update_automata):
-            if (
-                skip_cells is not None
-                and (row_offset + local_row, column) in skip_cells
-            ):
-                row.append(None)  # restored from the checkpoint
-                continue
+        row: list[MatrixCell | None] = [None] * len(update_automata)
+        # the row's INDEPENDENT columns so far, restored ones included
+        independent = {
+            column
+            for column in order
+            if skip_cells.get((row_index, column)) is Verdict.INDEPENDENT
+        }
+        for column in order:
+            if (row_index, column) in skip_cells:
+                continue  # restored from the checkpoint
             if per_cell_delay:
                 time.sleep(per_cell_delay)
             with tracer.span("matrix.cell") as cell_span:
                 started = time.perf_counter()
-                meter = (
+                container = (
                     None
-                    if budget is None or budget.unbounded
-                    else budget.start()
+                    if containment is None
+                    else containment.container(column, independent)
                 )
-                outcome = decide_cell(
-                    pattern_automaton, update_automaton, schema_hedge,
-                    cell_strategy, want_witness, meter, factor_cache, tracer,
+                outcome = (
+                    _DERIVED
+                    if container is not None
+                    else decide_cell(
+                        pattern_automaton, update_automata[column],
+                        schema_hedge, cell_strategy, want_witness,
+                        None if unbudgeted else budget.start(),
+                        factor_cache, tracer,
+                    )
                 )
                 cell = MatrixCell(
-                    row=row_offset + local_row,
+                    row=row_index,
                     column=column,
                     verdict=outcome.verdict,
                     elapsed_seconds=time.perf_counter() - started,
                     exploration=outcome.exploration,
                     witness=outcome.witness,
                     partial=outcome.partial,
+                    derived_from=container,
                 )
                 if cell_span.enabled:
-                    cell_span.set_attribute("row", cell.row)
-                    cell_span.set_attribute("column", cell.column)
-                    cell_span.set_attribute(
-                        "elapsed_ms", cell.elapsed_seconds * 1000.0
-                    )
                     cell_span.attributes.update(
-                        cell_attributes(cell, cell_strategy)
+                        _cell_span_attributes(cell, cell_strategy)
                     )
-                row.append(cell)
+                row[column] = cell
+                if cell.independent:
+                    independent.add(column)
                 if on_cell is not None:
                     # inside the span: checkpoint.journal nests under
                     # the cell that produced the record
@@ -525,6 +589,19 @@ def _explore_rows(
         forget_row(factor_cache, pattern_automaton, schema_hedge)
         rows.append(row)
     return rows
+
+
+def _cell_span_attributes(cell: MatrixCell, strategy: str) -> dict:
+    """The attributes of a ``matrix.cell`` span, serial or re-emitted."""
+    attributes = {
+        "row": cell.row,
+        "column": cell.column,
+        "elapsed_ms": cell.elapsed_seconds * 1000.0,
+        **cell_attributes(cell, strategy),
+    }
+    if cell.derived_from is not None:
+        attributes["derived_from"] = cell.derived_from
+    return attributes
 
 
 @dataclasses.dataclass(frozen=True)
@@ -602,17 +679,10 @@ def _record_worker_cell_spans(tracer, rows, strategy: str) -> None:
         for cell in row:
             if cell is None:
                 continue
-            attributes = {
-                "row": cell.row,
-                "column": cell.column,
-                "elapsed_ms": cell.elapsed_seconds * 1000.0,
-                "worker": True,
-                **cell_attributes(cell, strategy),
-            }
             tracer.record_span(
                 "matrix.cell",
                 int(cell.elapsed_seconds * 1e9),
-                attributes,
+                {**_cell_span_attributes(cell, strategy), "worker": True},
             )
 
 
@@ -907,6 +977,11 @@ def _open_baseline(
     if not spliceable:
         return {}, delta
     targets = {base: current for current, base in spliceable.items()}
+    # a derived cell names its container column by index; the container
+    # carries over with it, or the cell no longer names one
+    columns = {
+        base: current for current, base in delta.unchanged_columns.items()
+    }
     try:
         records = load_run_cells(
             baseline_dir, baseline_manifest, _warn_stacklevel=6
@@ -928,7 +1003,10 @@ def _open_baseline(
         if target is None:
             continue
         restored[target] = dataclasses.replace(
-            cell, row=target[0], column=target[1]
+            cell,
+            row=target[0],
+            column=target[1],
+            derived_from=columns.get(cell.derived_from),
         )
     return restored, delta
 
@@ -1063,7 +1141,7 @@ def _check_matrix(
                 # self-contained baseline for the next drift step
                 for cell in spliced.values():
                     store.record_cell(cell_to_record(cell))
-        skip = frozenset(restored) if restored else None
+        skip = {key: cell.verdict for key, cell in restored.items()} or None
 
         def journal_cell(cell: MatrixCell) -> None:
             if store is not None and cell is not None:

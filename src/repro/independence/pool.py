@@ -48,12 +48,16 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
+from typing import TYPE_CHECKING
 
 from repro.schema.automaton import schema_automaton
 from repro.schema.dtd import Schema
 from repro.tautomata.from_pattern import PatternAutomaton, trace_automaton
 from repro.tautomata.hedge import HedgeAutomaton
 from repro.update.update_class import UpdateClass
+
+if TYPE_CHECKING:
+    from repro.independence.containment import ColumnContainment
 
 #: materialized contexts kept per worker (tokens beyond this are LRU'd
 #: out — a worker serving many concurrent runs rebuilds the oldest)
@@ -102,14 +106,30 @@ class MaterializedContext:
 
     Holds exactly what :func:`repro.independence.matrix._explore_rows`
     shares across its cells: the global alphabet, one trace automaton
-    per update class, the schema automaton, and the factor cache the
-    lazy strategy memoizes factor fixpoints in.
+    per update class, the schema automaton, the factor cache the lazy
+    strategy memoizes factor fixpoints in, and the containment of the
+    update classes, which unbudgeted lazy runs derive cells from.
     """
 
     alphabet: frozenset[str]
+    update_classes: tuple[UpdateClass, ...]
     update_automata: list[PatternAutomaton]
     schema_hedge: HedgeAutomaton | None
     factor_cache: dict = dataclasses.field(default_factory=dict)
+    _containment: ColumnContainment | None = None
+
+    def containment(self) -> ColumnContainment:
+        """The update classes' containment, decided on first use.
+
+        Runs after :meth:`SharedWorkContext.materialize` compiled every
+        edge DFA, so the bounded inclusion tests compile nothing.
+        """
+        if self._containment is None:
+            # imported here: runs that never derive never load it
+            from repro.independence.containment import column_containment
+
+            self._containment = column_containment(self.update_classes)
+        return self._containment
 
 
 @dataclasses.dataclass(frozen=True)
@@ -141,6 +161,7 @@ class SharedWorkContext:
         )
         return MaterializedContext(
             alphabet=self.alphabet,
+            update_classes=self.update_classes,
             update_automata=update_automata,
             schema_hedge=schema_hedge,
         )

@@ -100,6 +100,8 @@ def parse_request(body, default_strategy: str) -> IndependenceRequest:
         raise BadRequest(
             f"unknown strategy {strategy!r}; expected one of {sorted(STRATEGIES)}"
         )
+    # "auto", "lazy" and no strategy compute the same matrix: one key
+    strategy = resolve_strategy(strategy)
     want_witness = body.get("want_witness", False)
     if not isinstance(want_witness, bool):
         raise BadRequest("request field 'want_witness' must be a boolean")
@@ -261,7 +263,7 @@ def degraded_response(request: IndependenceRequest, *, reason: str) -> dict:
         "independent": 0,
         "unknown": len(row_names) * len(column_names),
         "cells": len(row_names) * len(column_names),
-        "strategy": resolve_strategy(request.strategy),
+        "strategy": request.strategy,
         "parallelism": 0,
         "worker_faults": 0,
         "spliced_cells": 0,

@@ -159,6 +159,27 @@ class TestCliTraceCoverage:
             in trace_report.render(report)
         )
 
+    def test_trace_report_names_derived_cells(self, tmp_path):
+        """``/orders/order/status`` lies inside ``/orders/*/status``,
+        which both FDs leave alone: its two cells are derived."""
+        trace_path = tmp_path / "derived.jsonl"
+        args = ["independence", "--matrix", "--trace-out", str(trace_path)]
+        for fd in FDS[:2]:
+            args += ["--fd", fd]
+        for update in ("/orders/order/status", "/orders/order/total",
+                       "/orders/*/status"):
+            args += ["--update-xpath", update]
+        assert main(args) == 2
+        trace_report = _trace_report()
+        report = trace_report.build_report(read_trace(trace_path), top_k=6)
+        derived = {
+            (cell["row"], cell["column"]): cell["derived_from"]
+            for cell in report["slowest_cells"]
+            if cell["derived_from"] is not None
+        }
+        assert derived == {(0, 0): 2, (1, 0): 2}
+        assert "derived from cell(0,2)" in trace_report.render(report)
+
 
 def _trace_report():
     """``scripts/trace_report.py``, imported as a module."""

@@ -74,6 +74,31 @@ class TestBasicServing:
 
         asyncio.run(scenario())
 
+    def test_strategy_spellings_share_one_key(self):
+        def keys(**extra):
+            request = service_module.parse_request(body(**extra), "auto")
+            return request.key, request.batch_key
+
+        assert keys() == keys(strategy="auto") == keys(strategy="lazy")
+        eager_key, eager_batch_key = keys(strategy="eager")
+        key, batch_key = keys()
+        assert eager_key != key and eager_batch_key != batch_key
+
+    def test_lazy_body_is_served_from_the_auto_answer(self):
+        async def scenario():
+            async with running_service() as (_service, port):
+                _, _, first = await post_independence(
+                    port, body(strategy="auto")
+                )
+                assert first["served"]["source"] == "computed"
+                _, _, second = await post_independence(
+                    port, body(strategy="lazy")
+                )
+                assert second["served"]["source"] == "cache"
+                assert second["matrix"]["strategy"] == "lazy"
+
+        asyncio.run(scenario())
+
     def test_parse_error_is_400(self):
         async def scenario():
             async with running_service() as (_service, port):
